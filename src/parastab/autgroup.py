@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .chamber import chamber_invariant
+from .chamber import chamber_fingerprint
 from .errors import DomainError
 from .transform_group import (
     NumTransform,
-    apply_to_degree,
     apply_to_weights,
     reduce_dual_rank2,
 )
@@ -87,35 +86,52 @@ def trivial_curve(genus: int, points: Sequence[str]) -> CurveData:
     return CurveData(genus=genus, points=tuple(points))
 
 
-def candidate_transforms(
-    r: int, n: int, d: int, curve: CurveData
-) -> tuple[NumTransform, ...]:
-    """All degree-preserving class representatives over the curve symmetries.
+def _degree_pinned(
+    r: int, n: int, perms: Sequence[tuple[int, ...]], d_from: int, d_to: int
+) -> Iterator[NumTransform]:
+    """Each class representative carrying degree d_from to d_to, once, in perm order.
 
-    The degree equation r*tdeg = (sign - 1)*d + |H| pins the twist degree
-    whenever it is solvable.  At rank 2 dualizing candidates are folded onto
-    their non-dualizing representatives and deduplicated.
+    The degree equation r*tdeg = sign*d_to - d_from + |H| pins the twist
+    degree whenever it is solvable.  At rank 2 dualizing candidates are
+    folded onto their non-dualizing representatives and deduplicated.
     """
-    if r < 2:
-        raise DomainError("rank must be at least 2")
-    if n != curve.npoints:
-        raise DomainError("point count mismatch")
-    out: list[NumTransform] = []
     seen = set()
-    for perm, _mult in curve.symmetries:
+    for perm in perms:
         for sign in (1, -1):
             for hecke in product(range(r), repeat=n):
-                numerator = (sign - 1) * d + sum(hecke)
+                numerator = sign * d_to - d_from + sum(hecke)
                 if numerator % r:
                     continue
                 cand = NumTransform(perm, sign, numerator // r, hecke)
                 if r == 2 and sign == -1:
-                    cand = reduce_dual_rank2(cand, d)
-                key = (cand.perm, cand.sign, cand.tdeg, cand.hecke)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(cand)
-    return tuple(out)
+                    cand = reduce_dual_rank2(cand, d_from)
+                if cand not in seen:
+                    seen.add(cand)
+                    yield cand
+
+
+def _chamber_preserving(
+    r: int, candidates: Iterable[NumTransform], w_from: WeightSystem, d_to: int, w_to: WeightSystem
+) -> tuple[NumTransform, ...]:
+    """The candidates whose image of w_from has w_to's fingerprint at degree d_to."""
+    base = normalize(w_from)
+    ref = chamber_fingerprint(r, normalize(w_to), d_to)
+    return tuple(
+        cand
+        for cand in candidates
+        if chamber_fingerprint(r, apply_to_weights(cand, base), d_to) == ref
+    )
+
+
+def candidate_transforms(
+    r: int, n: int, d: int, curve: CurveData
+) -> tuple[NumTransform, ...]:
+    """All degree-preserving class representatives over the curve symmetries."""
+    if r < 2:
+        raise DomainError("rank must be at least 2")
+    if n != curve.npoints:
+        raise DomainError("point count mismatch")
+    return tuple(_degree_pinned(r, n, [perm for perm, _ in curve.symmetries], d, d))
 
 
 @dataclass(frozen=True)
@@ -164,22 +180,16 @@ def automorphism_group(
         raise DomainError(
             f"weights are not generic: wall witness {blanket.witness}"
         )
-    base = normalize(w)
-    ref = chamber_invariant(r, base, d).values
-    survivors = []
-    for cand in candidate_transforms(r, n, d, curve):
-        image = apply_to_weights(cand, base)
-        if chamber_invariant(r, image, d).values == ref:
-            survivors.append(cand)
+    perms = [perm for perm, _ in curve.symmetries]
+    survivors = _chamber_preserving(r, _degree_pinned(r, n, perms, d, d), w, d, w)
     torsion = r ** (2 * g)
     order = torsion * sum(curve.multiplicity(c.perm) for c in survivors)
-    bounds = genus_bounds(base)
-    chamber_genus = bounds.chamber
+    chamber_genus = genus_bounds(normalize(w)).chamber
     return AutResult(
         r=r,
         d=d,
         genus=g,
-        classes=tuple(survivors),
+        classes=survivors,
         torsion_factor=torsion,
         order=order,
         generic=bool(blanket),
@@ -221,30 +231,7 @@ def iso_transforms(
             raise DomainError("curve isomorphism perms must permute 0..n-1")
         if p not in perms:
             perms.append(p)
-    base1 = normalize(w1)
-    base2 = normalize(w2)
-    ref2 = chamber_invariant(r, base2, d2).values
-    out = []
-    seen = set()
-    for perm in perms:
-        for sign in (1, -1):
-            for hecke in product(range(r), repeat=n):
-                numerator = sign * d2 - d1 + sum(hecke)
-                if numerator % r:
-                    continue
-                cand = NumTransform(perm, sign, numerator // r, hecke)
-                if r == 2 and sign == -1:
-                    cand = reduce_dual_rank2(cand, d1)
-                key = (cand.perm, cand.sign, cand.tdeg, cand.hecke)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if apply_to_degree(cand, d1, r) != d2:
-                    continue
-                image = apply_to_weights(cand, base1)
-                if chamber_invariant(r, image, d2).values == ref2:
-                    out.append(cand)
-    return tuple(out)
+    return _chamber_preserving(r, _degree_pinned(r, n, perms, d1, d2), w1, d2, w2)
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterator, Optional
+from math import comb
 
 from .errors import DomainError
 from .weights_core import (
     ParabolicType,
     WeightSystem,
+    level_denominator,
     owt,
-    wall_values,
+    wall_levels,
 )
 
 
@@ -38,19 +39,7 @@ def admissible_types(r: int, n: int) -> tuple[ParabolicType, ...]:
 
 
 def count_admissible(r: int, n: int) -> int:
-    total = 0
-    for rp in range(1, r):
-        count = 1
-        for _ in range(n):
-            count *= _binom(r, rp)
-        total += count
-    return total
-
-
-def _binom(a: int, b: int) -> int:
-    from math import comb
-
-    return comb(a, b)
+    return sum(comb(r, rp) ** n for rp in range(1, r))
 
 
 def max_subdegree(r: int, w: WeightSystem, d: int, t: ParabolicType) -> int:
@@ -91,18 +80,31 @@ class ChamberInvariant:
         return (self.r, self.n, self.d) == (other.r, other.n, other.d)
 
 
+def chamber_fingerprint(r: int, w: WeightSystem, d: int) -> tuple[int, ...]:
+    """The extremal subdegrees ``chamber_invariant`` reports, from the wall levels.
+
+    floor((r'd + level) / r) per admissible pattern, on the integer levels
+    L = q * level.
+    """
+    if r < 2:
+        raise DomainError("requires r >= 2 and n >= 1")
+    if r != w.rank:
+        raise DomainError("rank mismatch")
+    q = level_denominator(w)
+    rq = r * q
+    return tuple((rp * d * q + level) // rq for rp, _, level in wall_levels(w, q))
+
+
 def chamber_invariant(r: int, w: WeightSystem, d: int) -> ChamberInvariant:
+    values = chamber_fingerprint(r, w, d)
     types = admissible_types(r, w.npoints)
-    values = tuple(max_subdegree(r, w, d, t) for t in types)
     return ChamberInvariant(r=r, n=w.npoints, d=d, types=types, values=values)
 
 
 def same_numerical_chamber(r: int, w1: WeightSystem, w2: WeightSystem, d: int) -> bool:
     if w1.rank != w2.rank or w1.npoints != w2.npoints:
         raise DomainError("weight systems must share rank and point count")
-    inv1 = chamber_invariant(r, w1, d)
-    inv2 = chamber_invariant(r, w2, d)
-    return inv1.values == inv2.values
+    return chamber_fingerprint(r, w1, d) == chamber_fingerprint(r, w2, d)
 
 
 @dataclass(frozen=True)
@@ -133,23 +135,20 @@ def walls_crossed(
     if w1.rank != r:
         raise DomainError("rank mismatch")
     walls = []
-    values2 = {(rp, combo): val for rp, combo, val in wall_values(w2)}
-    for rp, combo, val1 in wall_values(w1):
-        val2 = values2[(rp, combo)]
-        for label, val in (("first", val1), ("second", val2)):
-            if val.denominator == 1:
-                hit_relevant = (int(val) + rp * d) % r == 0
-                if hit_relevant or not relevant_only:
+    q = level_denominator(w1, w2)
+    for (rp, combo, l1), (_, _, l2) in zip(wall_levels(w1, q), wall_levels(w2, q)):
+        for label, level in (("first", l1), ("second", l2)):
+            if level % q == 0:
+                m = level // q
+                if not relevant_only or (m + rp * d) % r == 0:
                     raise DomainError(
                         f"{label} weight system lies on wall "
-                        f"(subrank {rp}, picks {combo}, level {int(val)})"
+                        f"(subrank {rp}, picks {combo}, level {m})"
                     )
-        lo, hi = sorted((val1, val2))
-        m = lo.numerator // lo.denominator + 1
-        while m < hi:
+        lo, hi = sorted((l1, l2))
+        # integers m with lo < m*q < hi, in increasing order
+        for m in range(lo // q + 1, (hi - 1) // q + 1):
             relevant = (m + rp * d) % r == 0
             if relevant or not relevant_only:
                 walls.append(Wall(subrank=rp, pattern=combo, m=m, relevant=relevant))
-            m += 1
-    walls.sort(key=lambda wall: (wall.subrank, wall.pattern, wall.m))
     return tuple(walls)

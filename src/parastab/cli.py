@@ -42,7 +42,7 @@ from .local_matrix import (
     hecke_conjugation_check,
     is_inner,
     is_pure_tensor,
-    mp_matrix,
+    mp_closed_form,
     rank1_factor,
     xi_matrix,
 )
@@ -87,7 +87,10 @@ def _parse_fraction(value: Any) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value.strip()):
             raise InputError(f"rationals must look like 'p/q' or 'n', got {value!r}")
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise InputError(f"rational has a zero denominator: {value!r}") from None
     raise InputError(f"expected a rational string, got {value!r}")
 
 
@@ -610,7 +613,7 @@ def _cmd_matrix_mp(args) -> tuple[int, dict]:
             raise InputError("provide two matrix document paths or --json")
         a = _parse_matrix(_parse_json(_read_text(args.doc)))
         b = _parse_matrix(_parse_json(_read_text(args.doc2)))
-    product = mp_matrix(a, b)
+    product = mp_closed_form(a, b)
     payload: dict = {"n": a.nrows, "mp": _ser_matrix(product)}
     if args.check_inner:
         payload["pure_tensor"] = is_pure_tensor(product) is not None
@@ -621,6 +624,8 @@ def _cmd_matrix_mp(args) -> tuple[int, dict]:
 
 
 def _cmd_matrix_hecke(args) -> tuple[int, dict]:
+    if args.precision < 1:
+        raise InputError(f"--precision must be at least 1, got {args.precision}")
     m = _load_matrix(args)
     report = hecke_conjugation_check(m, precision=args.precision)
     return 0, {

@@ -626,34 +626,15 @@ def twist(m: LaurentMatrix, direction: int = 1) -> LaurentMatrix:
     )
 
 
-def mp_matrix(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
+def mp_closed_form(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     """Matrix of the twisted conjugation X -> untwist(A . twist(X) . B).
 
-    Built column by column by pushing each twisted elementary matrix through
-    the map itself; equals the closed form z^xi . (A tensor B^t) entrywise,
-    which the tests cross-check against mp_closed_form.
+    Entrywise z^xi . (A tensor B^t): the Kronecker product shifted by the
+    exponent pattern.
     """
     n = a.nrows
     if a.ncols != n or b.nrows != n or b.ncols != n:
         raise DomainError("expected two square matrices of equal size")
-    size = n * n
-    out = [[L_ZERO] * size for _ in range(size)]
-    for c in range(n):
-        for d in range(n):
-            unit = [[L_ZERO] * n for _ in range(n)]
-            unit[c][d] = L_ONE
-            x_in = twist(LaurentMatrix(tuple(tuple(r) for r in unit)), 1)
-            y_out = twist(a @ x_in @ b, -1)
-            col = tau(n, c, d)
-            for x in range(n):
-                for y in range(n):
-                    out[tau(n, x, y)][col] = y_out.rows[x][y]
-    return LaurentMatrix(tuple(tuple(row) for row in out))
-
-
-def mp_closed_form(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
-    """The same matrix via the exponent pattern and the Kronecker product."""
-    n = a.nrows
     xi = xi_matrix(n)
     kron = a.kron(b.transpose())
     return LaurentMatrix(

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import DomainError
@@ -261,32 +262,54 @@ class GenericityResult:
         return self.generic
 
 
+def level_denominator(*systems: WeightSystem) -> int:
+    """Least common denominator q of every weight in the given systems."""
+    return lcm(*(a.denominator for w in systems for tup in w.weights for a in tup))
+
+
+def wall_levels(
+    w: WeightSystem, q: int
+) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], int]]:
+    """Yield (subrank, index picks, L) over every wall family, in canonical order.
+
+    L = q * (r' * (sum of all weights) - r * (sum of picked weights)) is an
+    integer when q is a multiple of ``level_denominator(w)``; the level is a
+    wall exactly when q divides L.  Patterns run by subrank, then by the
+    per-point 1-based picks in lexicographic order, as in ``admissible_types``.
+    """
+    r = w.rank
+    nums = [[a.numerator * (q // a.denominator) for a in tup] for tup in w.weights]
+    total = sum(map(sum, nums))
+    for rp in range(1, r):
+        picks = tuple(combinations(range(1, r + 1), rp))
+        # the level is additive over points: one picked-sum table per point
+        picked = [[r * sum(row[i - 1] for i in c) for c in picks] for row in nums]
+        base = rp * total
+        for combo, sums in zip(product(picks, repeat=w.npoints), product(*picked)):
+            yield rp, combo, base - sum(sums)
+
+
 def wall_values(
     w: WeightSystem,
 ) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], Fraction]]:
-    """Yield (subrank, index picks, level value) over every wall family.
+    """``wall_levels`` with each level as the exact rational L / q."""
+    q = level_denominator(w)
+    for rp, combo, level in wall_levels(w, q):
+        yield rp, combo, Fraction(level, q)
 
-    The level value is r' * (sum of all weights) - r * (sum of picked weights);
-    integer values mark walls.
-    """
-    r, n = w.rank, w.npoints
-    total = w.total()
-    for rp in range(1, r):
-        picks = tuple(combinations(range(1, r + 1), rp))
-        for combo in product(picks, repeat=n):
-            picked = sum(
-                (w.weights[x][i - 1] for x in range(n) for i in combo[x]),
-                Fraction(0),
-            )
-            yield rp, combo, rp * total - r * picked
+
+def _first_wall(w: WeightSystem, d: Optional[int]) -> GenericityResult:
+    q = level_denominator(w)
+    r = w.rank
+    for rp, combo, level in wall_levels(w, q):
+        if level % q == 0 and (d is None or (level // q + rp * d) % r == 0):
+            return GenericityResult(False, GenericityWitness(rp, combo, level // q))
+    return GenericityResult(True, None)
 
 
 def is_generic(w: WeightSystem) -> GenericityResult:
     """True iff no wall value is an integer, regardless of degree."""
-    for rp, combo, value in wall_values(w):
-        if value.denominator == 1:
-            return GenericityResult(False, GenericityWitness(rp, combo, int(value)))
-    return GenericityResult(True, None)
+    return _first_wall(w, None)
 
 
 def is_degree_generic(w: WeightSystem, d: int) -> GenericityResult:
@@ -296,11 +319,7 @@ def is_degree_generic(w: WeightSystem, d: int) -> GenericityResult:
     divisible by r, because only then does an integral subobject degree
     realize the equality.
     """
-    r = w.rank
-    for rp, combo, value in wall_values(w):
-        if value.denominator == 1 and (int(value) + rp * d) % r == 0:
-            return GenericityResult(False, GenericityWitness(rp, combo, int(value)))
-    return GenericityResult(True, None)
+    return _first_wall(w, d)
 
 
 def is_concentrated(w: WeightSystem) -> bool:

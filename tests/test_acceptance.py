@@ -38,7 +38,6 @@ from parastab import (
     is_parabolic,
     make_transform,
     max_subdegree,
-    mp_matrix,
     normalize,
     owt,
     rank1_factor,
@@ -56,6 +55,7 @@ from conftest import (
     rand_transform,
     rand_weights,
 )
+from oracles import mp_matrix
 
 F = Fraction
 

@@ -366,6 +366,28 @@ def test_bad_documents_exit_two(doc):
     assert json.loads(proc.stdout)["error"]["kind"] == "input"
 
 
+@pytest.mark.parametrize("weight", ["1/0", "-3/0", " 0/0"])
+def test_zero_denominator_is_an_input_error(weight):
+    doc = {"r": 2, "degree": 0, "points": [{"label": "x", "weights": ["0", weight]}]}
+    proc = run_cli("normalize", "--json", stdin=json.dumps(doc))
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["error"]["kind"] == "input"
+    matrix = run_cli("matrix-rank1", "--json", stdin=json.dumps([[weight]]))
+    assert matrix.returncode == 2
+    assert json.loads(matrix.stdout)["error"]["kind"] == "input"
+
+
+@pytest.mark.parametrize("precision", ["0", "-3"])
+def test_matrix_hecke_rejects_nonpositive_precision(precision):
+    for doc in ([[0, 1], [{"1": "1"}, 0]], [[{"1": "1"}, 0], [0, [[0, "1"], [1, "-1"]]]]):
+        proc = run_cli("matrix-hecke", "--json", "--precision", precision, stdin=json.dumps(doc))
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert error["kind"] == "input"
+        assert "--precision" in error["message"]
+
+
 def test_other_input_errors(tmp_path):
     proc = run_cli("normalize", str(tmp_path / "missing.json"))
     assert proc.returncode == 2

@@ -24,7 +24,6 @@ from parastab import (
     is_parabolic,
     is_pure_tensor,
     mp_closed_form,
-    mp_matrix,
     rank1_factor,
     sigma_reshuffle,
     twist,
@@ -40,6 +39,7 @@ from parastab.local_matrix import (
     tau,
     tau_inv,
 )
+from oracles import mp_matrix
 
 F = Fraction
 

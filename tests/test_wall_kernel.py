@@ -1,0 +1,183 @@
+"""The integer wall-level kernel against the per-pattern Fraction path.
+
+Weights are drawn with small, mixed denominators so that many inputs sit
+exactly on a wall; the explicit examples pin a few on-wall and off-wall
+cases.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from parastab import (
+    CurveData,
+    DomainError,
+    apply_to_degree,
+    automorphism_group,
+    candidate_transforms,
+    chamber_fingerprint,
+    chamber_invariant,
+    count_admissible,
+    is_degree_generic,
+    is_generic,
+    iso_transforms,
+    level_denominator,
+    wall_levels,
+    wall_values,
+    walls_crossed,
+    weight_system,
+)
+
+F = Fraction
+# r in 2..5 and n in 1..4; the per-pattern path takes about a second at
+# (5, 4) (21250 patterns), so that shape comes from explicit examples only
+SHAPES = [(r, n) for r in range(2, 6) for n in range(1, 5) if (r, n) != (5, 4)]
+# the old candidate loop re-validates every pattern of every candidate, which
+# takes seconds per example at (4, 4) and (5, 3)
+SEARCH_SHAPES = [(r, n) for r, n in SHAPES if count_admissible(r, n) * r ** n <= 30000]
+
+
+@st.composite
+def weights(draw, r: int, n: int):
+    """r distinct rationals in [0, 1) per point, each with its own denominator."""
+    max_den = draw(st.sampled_from((4, 6, 12, 60, 997)))
+    fracs = st.fractions(min_value=0, max_value=1, max_denominator=max_den).filter(
+        lambda a: a < 1
+    )
+    rows = [sorted(draw(st.sets(fracs, min_size=r, max_size=r))) for _ in range(n)]
+    return weight_system(rows)
+
+
+@st.composite
+def system(draw, shapes=SHAPES):
+    r, n = draw(st.sampled_from(shapes))
+    return draw(weights(r, n)), draw(st.integers(-6, 6))
+
+
+@st.composite
+def pair(draw, shapes=SHAPES):
+    r, n = draw(st.sampled_from(shapes))
+    return draw(weights(r, n)), draw(weights(r, n)), draw(st.integers(-6, 6))
+
+
+ON_WALL = weight_system([[F(0), F(1, 2)], [F(0), F(1, 2)]])
+MIXED = weight_system([[F(1, 10), F(7, 10)], [F(1, 5), F(3, 5)]])
+RANK3 = weight_system([[F(1, 8), F(3, 8), F(7, 8)]])
+# (5, 4) with mixed denominators: WIDE sits on the wall of picks
+# ((1,), (4,), (1,), (4,)) at level 2, which is degree-relevant for d = 3;
+# WIDE_GENERIC sits on no wall
+WIDE = weight_system(
+    [[F(0), F(1, 7), F(2, 7), F(3, 7), F(5, 7)]] * 2
+    + [[F(1, 11), F(2, 11), F(4, 11), F(6, 11), F(10, 11)]] * 2
+)
+WIDE_GENERIC = weight_system(
+    [[F(0), F(1, 5), F(2, 5), F(3, 5), F(4, 5)]] * 3
+    + [[F(0), F(1, 10), F(1, 5), F(3, 10), F(1, 2)]]
+)
+
+
+@settings(max_examples=30)
+@given(system())
+@example((ON_WALL, 0))
+@example((MIXED, 1))
+@example((RANK3, -1))
+@example((WIDE, 3))
+def test_levels_and_fingerprint_match_per_pattern_path(case):
+    w, d = case
+    old = list(oracles.levels(w))
+    q = level_denominator(w)
+    assert [(rp, picks, F(level, q)) for rp, picks, level in wall_levels(w, q)] == old
+    assert list(wall_values(w)) == old
+    expected = oracles.fingerprint(w.rank, w, d)
+    assert chamber_fingerprint(w.rank, w, d) == expected
+    assert chamber_invariant(w.rank, w, d).values == expected
+
+
+@settings(max_examples=30)
+@given(system())
+@example((ON_WALL, 0))
+@example((ON_WALL, 1))
+@example((MIXED, 0))
+@example((WIDE, 3))
+@example((WIDE_GENERIC, 1))
+def test_genericity_witness_is_first_integer_level(case):
+    w, d = case
+    assert is_generic(w) == oracles.first_wall(w)
+    assert is_degree_generic(w, d) == oracles.first_wall(w, d)
+
+
+def _walls_or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@settings(max_examples=30)
+@given(pair(), st.booleans())
+@example((ON_WALL, MIXED, 0), True)
+@example((MIXED, ON_WALL, 1), False)
+@example((MIXED, weight_system([[F(0), F(9, 10)], [F(1, 3), F(1, 2)]]), 0), False)
+@example((WIDE_GENERIC, WIDE, 0), True)
+@example((WIDE_GENERIC, WIDE, 3), True)
+def test_walls_crossed_matches_fraction_levels(case, relevant_only):
+    w1, w2, d = case
+    r = w1.rank
+    new = _walls_or_error(walls_crossed, r, w1, w2, d, relevant_only=relevant_only)
+    old = _walls_or_error(oracles.walls_crossed, r, w1, w2, d, relevant_only=relevant_only)
+    assert new == old
+
+
+def test_walls_crossed_on_wall_message():
+    with pytest.raises(DomainError) as err:
+        walls_crossed(2, ON_WALL, MIXED, 1)
+    assert str(err.value) == (
+        "first weight system lies on wall (subrank 1, picks ((1,), (1,)), level 1)"
+    )
+
+
+@st.composite
+def relabelings(draw, n: int):
+    """The identity, then one more drawn relabeling if it differs."""
+    identity = tuple(range(n))
+    perm = tuple(draw(st.permutations(range(n))))
+    return [identity] if perm == identity else [identity, perm]
+
+
+@settings(max_examples=15)
+@given(st.sampled_from(SEARCH_SHAPES).flatmap(
+    lambda s: st.tuples(weights(*s), st.integers(-6, 6), relabelings(s[1]))
+))
+@example((MIXED, 0, [(0, 1), (1, 0)]))
+@example((RANK3, -1, [(0,)]))
+def test_automorphism_group_matches_old_loop(case):
+    w, d, perms = case
+    r, n = w.rank, w.npoints
+    curve = CurveData(genus=2, points=w.points, symmetries=tuple((p, 1) for p in perms))
+    result = automorphism_group(r, n, d, 2, w, curve)
+    assert result.classes == oracles.automorphism_classes(r, n, d, w, perms)
+    assert set(result.classes) <= set(candidate_transforms(r, n, d, curve))
+
+
+@settings(max_examples=25)
+@given(st.sampled_from(SEARCH_SHAPES).flatmap(
+    lambda s: st.tuples(
+        weights(*s), st.integers(-6, 6), weights(*s), st.integers(-6, 6), relabelings(s[1])
+    )
+))
+@example((MIXED, 0, MIXED, 0, [(0, 1), (1, 0)]))
+@example((RANK3, -1, RANK3, 1, [(0,)]))
+def test_iso_transforms_matches_old_loop(case):
+    w1, d1, w2, d2, perms = case
+    r, n = w1.rank, w1.npoints
+    found = iso_transforms(r, n, d1, w1, d2, w2, curve_iso=perms[1:])
+    assert found == oracles.iso_classes(r, n, d1, w1, d2, w2, perms)
+    assert all(apply_to_degree(t, d1, r) == d2 for t in found)
+    self_map = iso_transforms(r, n, d1, w1, d1, w1, curve_iso=perms[1:])
+    curve = CurveData(genus=0, points=w1.points, symmetries=tuple((p, 1) for p in perms))
+    assert self_map == automorphism_group(r, n, d1, 0, w1, curve).classes
