@@ -297,6 +297,8 @@ def _parse_matrix(obj: Any) -> LaurentMatrix:
         obj = _require(obj, "entries", "matrix document")
     if not isinstance(obj, list) or not obj:
         raise InputError("matrix entries must be a nonempty list of rows")
+    if not all(isinstance(row, list) for row in obj):
+        raise InputError("matrix rows must be lists")
     try:
         return LaurentMatrix(
             tuple(tuple(_parse_laurent(v) for v in row) for row in obj)

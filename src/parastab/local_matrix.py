@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import cached_property
+from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import DomainError, PrecisionError
@@ -94,12 +95,7 @@ class Laurent:
         return self + (-other)
 
     def __mul__(self, other: "Laurent") -> "Laurent":
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Laurent(out)
+        return _dot((self,), (other,))
 
     def scale(self, value: Rational) -> "Laurent":
         frac = Fraction(value)
@@ -249,11 +245,15 @@ class TruncLaurent:
 
     def negative_part(self) -> dict[int, Fraction]:
         """Certified coefficients at negative exponents; raises if uncertifiable."""
-        if self.bound is not None and self.bound <= 0:
-            raise PrecisionError(
-                f"cannot certify exponents in [{self.bound}, 0); raise the precision"
-            )
+        if self.bound is not None:
+            _certify(self.bound)
         return {e: c for e, c in self.known.coeffs.items() if e < 0}
+
+
+def _certify(bound: int) -> None:
+    """A value known below ``bound`` has certified negative part only if bound > 0."""
+    if bound <= 0:
+        raise PrecisionError(f"cannot certify exponents in [{bound}, 0); raise the precision")
 
 
 def _min_bound(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -332,23 +332,15 @@ class LaurentMatrix:
         if self.ncols != other.nrows:
             raise DomainError("matrix shape mismatch")
         cols = other.transpose().rows
-        out = []
-        for row in self.rows:
-            new_row = []
-            for col in cols:
-                acc = L_ZERO
-                for a, b in zip(row, col):
-                    if a.coeffs and b.coeffs:
-                        acc = acc + a * b
-                new_row.append(acc)
-            out.append(tuple(new_row))
-        return LaurentMatrix(tuple(out))
+        return LaurentMatrix(
+            tuple(tuple(_dot(row, col) for col in cols) for row in self.rows)
+        )
 
     def kron(self, other: "LaurentMatrix") -> "LaurentMatrix":
         out = []
         for r1 in self.rows:
             for r2 in other.rows:
-                out.append(tuple(a * b for a in r1 for b in r2))
+                out.append(tuple(a * b if a.coeffs else L_ZERO for a in r1 for b in r2))
         return LaurentMatrix(tuple(out))
 
     def power(self, k: int) -> "LaurentMatrix":
@@ -360,74 +352,78 @@ class LaurentMatrix:
         return acc
 
     def det(self) -> Laurent:
-        if self.nrows != self.ncols:
-            raise DomainError("determinant needs a square matrix")
-        n = self.nrows
-        total = L_ZERO
-        for perm in permutations(range(n)):
-            sign = 1
-            seen = list(perm)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if seen[i] > seen[j]:
-                        sign = -sign
-            term = L_ONE
-            for i in range(n):
-                term = term * self.rows[i][perm[i]]
-                if term.is_zero():
-                    break
-            total = total + (term if sign == 1 else -term)
-        return total
-
-    def _minor(self, i: int, j: int) -> "LaurentMatrix":
-        return LaurentMatrix(
-            tuple(
-                tuple(v for jj, v in enumerate(row) if jj != j)
-                for ii, row in enumerate(self.rows)
-                if ii != i
-            )
-        )
+        return self.det_adjugate[0]
 
     def adjugate(self) -> "LaurentMatrix":
+        return self.det_adjugate[1]
+
+    @cached_property
+    def det_adjugate(self) -> tuple[Laurent, "LaurentMatrix"]:
+        """Determinant and adjugate from one characteristic polynomial (cached).
+
+        Berkowitz's recursion (1984) builds det(t*I - A) = t^n + c_1 t^(n-1)
+        + ... + c_n from the bottom-right corner up: the block from (k, k)
+        down, with corner a, rest of row R, rest of column C and trailing
+        block A', has the lower-triangular Toeplitz matrix with first column
+        (1, -a, -R C, -R A' C, -R A'^2 C, ...) times the polynomial of A'.
+        Cayley-Hamilton then gives adj(A) = (-1)^(n+1) (A^(n-1) + c_1 A^(n-2)
+        + ... + c_(n-1) I) by Horner's rule.  O(n^4) ring operations and no
+        division, so singular matrices need no separate path.
+        """
         if self.nrows != self.ncols:
-            raise DomainError("adjugate needs a square matrix")
-        n = self.nrows
-        if n == 1:
-            return LaurentMatrix(((L_ONE,),))
-        cof = [
-            [
-                self._minor(i, j).det().scale((-1) ** (i + j))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return LaurentMatrix(tuple(tuple(cof[j][i] for j in range(n)) for i in range(n)))
+            raise DomainError("determinant and adjugate need a square matrix")
+        n, rows = self.nrows, self.rows
+        poly = [L_ONE]
+        for k in range(n - 1, -1, -1):
+            below = [row[k + 1:] for row in rows[k + 1:]]
+            vec = [row[k] for row in rows[k + 1:]]
+            col = [L_ONE, -rows[k][k]]
+            for step in range(n - k - 1):
+                if step:
+                    vec = [_dot(row, vec) for row in below]
+                col.append(-_dot(rows[k][k + 1:], vec))
+            poly = [_dot(col[i::-1], poly[: i + 1]) for i in range(len(poly) + 1)]
+        q = LaurentMatrix.identity(n)
+        for c in poly[1:n]:
+            q = q @ self + LaurentMatrix.build(
+                [[c if i == j else 0 for j in range(n)] for i in range(n)]
+            )
+        if n % 2:
+            return -poly[n], q
+        return poly[n], LaurentMatrix.build([[-v for v in row] for row in q.rows])
+
+
+def _dot(xs: Sequence[Laurent], ys: Sequence[Laurent]) -> Laurent:
+    """Sum of the pairwise products, accumulated in one coefficient map."""
+    out: dict[int, Fraction] = {}
+    for x, y in zip(xs, ys):
+        for e1, c1 in x.coeffs.items():
+            for e2, c2 in y.coeffs.items():
+                e = e1 + e2
+                out[e] = out.get(e, 0) + c1 * c2
+    return Laurent(out)
 
 
 def inverse_exact(m: LaurentMatrix) -> LaurentMatrix:
     """Exact inverse; requires the determinant to be a single monomial."""
-    det = m.det()
+    det, adj = m.det_adjugate
     if det.is_zero():
         raise DomainError("matrix is singular")
     if not det.is_monomial():
         raise DomainError("determinant is not a monomial; use inverse_series")
     exp = det.valuation()
     inv_det = Laurent.z(-exp, 1 / det.coeff(exp))
-    adj = m.adjugate()
-    return LaurentMatrix(
-        tuple(tuple(v * inv_det for v in row) for row in adj.rows)
-    )
+    return LaurentMatrix.build([[v * inv_det for v in row] for row in adj.rows])
 
 
 def inverse_series(m: LaurentMatrix, precision: int) -> list[list[TruncLaurent]]:
     """Inverse with entries known exactly below a tracked exponent bound."""
-    det = m.det()
+    det, adj = m.det_adjugate
     if det.is_zero():
         raise DomainError("matrix is singular")
     v = det.valuation()
     unit = det.shift(-v)
     inv_unit = TruncLaurent(series_inverse(unit, precision), precision)
-    adj = m.adjugate()
     shift = TruncLaurent.exact(Laurent.z(-v))
     return [
         [TruncLaurent.exact(entry) * shift * inv_unit for entry in row]
@@ -700,42 +696,41 @@ def hecke_conjugation_check(a: LaurentMatrix, precision: int = 24) -> HeckeRepor
     n = a.nrows
     if a.ncols != n:
         raise DomainError("expected a square matrix")
-    det = a.det()
+    if precision < 1:
+        raise DomainError("precision must be positive")
+    det, adj = a.det_adjugate
     if det.is_zero():
         raise DomainError("matrix is singular")
     v = det.valuation()
+    # Every twist shift is at least -1, so inverse terms at exponents
+    # >= 1 - min val(a) land at exponents >= 0 and cannot break integrality.
+    cut = 1 - min(e.valuation() for row in a.rows for e in row if e.coeffs)
     if det.is_monomial():
-        inv_rows = [
-            [TruncLaurent.exact(entry) for entry in row]
-            for row in inverse_exact(a).rows
-        ]
+        inv = inverse_exact(a).rows
     else:
-        inv_rows = inverse_series(a, precision)
-    offenders = []
-    integral = True
-    for c in range(n):
-        for d in range(n):
-            for x in range(n):
-                av = TruncLaurent.exact(a.rows[x][c])
-                for y in range(n):
-                    value = av * inv_rows[d][y]
-                    exp_shift = (1 if d < c else 0) - (1 if y < x else 0)
-                    if exp_shift:
-                        value = TruncLaurent(
-                            value.known.shift(exp_shift),
-                            None if value.bound is None else value.bound + exp_shift,
-                        )
-                    negative = value.negative_part()
-                    if negative:
-                        integral = False
-                        worst = min(negative)
-                        offenders.append((tau(n, x, y), tau(n, c, d), worst))
+        # Entry ((x, y), (c, d)) is a[x][c] * inv[d][y] * z^([d<c] - [y<x]), and
+        # inv[d][y] is declared known below precision + val(adj[d][y]) - v.
+        # Certifying in (c, d, x, y) order names the first uncertified bound.
+        for c, d, x, y in product(range(n), repeat=4):
+            ax, jd = a.rows[x][c], adj.rows[d][y]
+            if ax.coeffs and jd.coeffs:
+                shift = (d < c) - (y < x)
+                _certify(precision + jd.valuation() - v + ax.valuation() + shift)
+        needed = cut + v - min(e.valuation() for row in adj.rows for e in row if e.coeffs)
+        inv = [[t.known for t in row] for row in inverse_series(a, min(precision, needed))]
+    low = LaurentMatrix.build([[e.truncated(cut) for e in row] for row in inv])
+    offenders = tuple(
+        (p, q, e.valuation())
+        for p, row in enumerate(mp_closed_form(a, low).rows)
+        for q, e in enumerate(row)
+        if e.coeffs and e.valuation() < 0
+    )
     return HeckeReport(
         n=n,
         parabolic_input=is_parabolic(a),
         det_valuation=v,
         k=v % n,
-        integral=integral,
-        offenders=tuple(sorted(offenders)),
+        integral=not offenders,
+        offenders=offenders,
         precision=precision,
     )

@@ -7,27 +7,123 @@ compare the two.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import Iterator
 
 from parastab import (
     DomainError,
     GenericityResult,
     GenericityWitness,
+    HeckeReport,
+    Laurent,
     LaurentMatrix,
     NumTransform,
+    TruncLaurent,
     Wall,
     WeightSystem,
     admissible_types,
     apply_to_degree,
     apply_to_weights,
+    is_parabolic,
     max_subdegree,
     normalize,
     owt,
     reduce_dual_rank2,
     twist,
 )
-from parastab.local_matrix import L_ONE, L_ZERO, tau
+from parastab.local_matrix import L_ONE, L_ZERO, series_inverse, tau
+
+
+def det(m: LaurentMatrix) -> Laurent:
+    """Leibniz expansion: one signed product per permutation, O(n!*n)."""
+    if m.nrows != m.ncols:
+        raise DomainError("determinant needs a square matrix")
+    n = m.nrows
+    total = L_ZERO
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = L_ONE
+        for i in range(n):
+            term = term * m.rows[i][perm[i]]
+            if term.is_zero():
+                break
+        total = total + (term if sign == 1 else -term)
+    return total
+
+
+def minor(m: LaurentMatrix, i: int, j: int) -> LaurentMatrix:
+    return LaurentMatrix(
+        tuple(
+            tuple(v for jj, v in enumerate(row) if jj != j)
+            for ii, row in enumerate(m.rows)
+            if ii != i
+        )
+    )
+
+
+def adjugate(m: LaurentMatrix) -> LaurentMatrix:
+    """Transposed cofactor matrix, one Leibniz determinant per minor."""
+    if m.nrows != m.ncols:
+        raise DomainError("adjugate needs a square matrix")
+    n = m.nrows
+    if n == 1:
+        return LaurentMatrix(((L_ONE,),))
+    cof = [[det(minor(m, i, j)).scale((-1) ** (i + j)) for j in range(n)] for i in range(n)]
+    return LaurentMatrix(tuple(tuple(cof[j][i] for j in range(n)) for i in range(n)))
+
+
+def hecke_conjugation_check(a: LaurentMatrix, precision: int = 24) -> HeckeReport:
+    """Entry-by-entry twisted conjugation of (a, a^{-1}) over truncated series.
+
+    The inverse comes from the Leibniz determinant and the cofactor
+    adjugate; each of the n^4 products carries its own exponent bound and
+    raises PrecisionError when its negative part is not certified.
+    """
+    n = a.nrows
+    if a.ncols != n:
+        raise DomainError("expected a square matrix")
+    det_a = det(a)
+    if det_a.is_zero():
+        raise DomainError("matrix is singular")
+    v = det_a.valuation()
+    adj = adjugate(a)
+    if det_a.is_monomial():
+        inv_det = TruncLaurent.exact(Laurent.z(-v, 1 / det_a.coeff(v)))
+    else:
+        unit = det_a.shift(-v)
+        inv_det = TruncLaurent.exact(Laurent.z(-v)) * TruncLaurent(
+            series_inverse(unit, precision), precision
+        )
+    inv_rows = [[TruncLaurent.exact(entry) * inv_det for entry in row] for row in adj.rows]
+    offenders = []
+    for c in range(n):
+        for d in range(n):
+            for x in range(n):
+                av = TruncLaurent.exact(a.rows[x][c])
+                for y in range(n):
+                    value = av * inv_rows[d][y]
+                    exp_shift = (1 if d < c else 0) - (1 if y < x else 0)
+                    if exp_shift:
+                        value = TruncLaurent(
+                            value.known.shift(exp_shift),
+                            None if value.bound is None else value.bound + exp_shift,
+                        )
+                    negative = value.negative_part()
+                    if negative:
+                        offenders.append((tau(n, x, y), tau(n, c, d), min(negative)))
+    return HeckeReport(
+        n=n,
+        parabolic_input=is_parabolic(a),
+        det_valuation=v,
+        k=v % n,
+        integral=not offenders,
+        offenders=tuple(sorted(offenders)),
+        precision=precision,
+    )
 
 
 def mp_matrix(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:

@@ -388,6 +388,25 @@ def test_matrix_hecke_rejects_nonpositive_precision(precision):
         assert "--precision" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"entries": [1]},
+        [1],
+        {"entries": [[{"0": "1"}], 5]},
+        {"entries": ["1"]},
+        {"entries": [{"0": "1"}]},
+    ],
+)
+def test_matrix_rows_must_be_lists(doc):
+    for cmd in ("matrix-rank1", "matrix-hecke"):
+        proc = run_cli(cmd, "--json", stdin=json.dumps(doc))
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        error = json.loads(proc.stdout)["error"]
+        assert error == {"kind": "input", "message": "matrix rows must be lists"}
+
+
 def test_other_input_errors(tmp_path):
     proc = run_cli("normalize", str(tmp_path / "missing.json"))
     assert proc.returncode == 2
