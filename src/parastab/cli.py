@@ -15,19 +15,22 @@ rational string, an integer, or a map from exponent to coefficient like
 
 Output is a single JSON object on stdout with sorted keys, so identical
 inputs always produce identical bytes.  Exit codes: 0 success, 1 domain
-error, 2 malformed input.  Errors print {"error": {"kind", "message"}}.
+error, 2 malformed input, argument errors included.  Errors print
+{"error": {"kind", "message"}}.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .autgroup import (
+    AutResult,
     CurveData,
     automorphism_group,
     concentrated_orders,
@@ -52,7 +55,6 @@ from .transform_group import (
     apply_to_weights,
     compose,
     hecke_weights,
-    identity_transform,
     inverse,
     make_transform,
 )
@@ -196,33 +198,10 @@ def _parse_json(text: str) -> Any:
         raise InputError(f"invalid JSON: {exc}") from None
 
 
-def _load_single(args: argparse.Namespace) -> Document:
-    if getattr(args, "json", False):
-        return Document(_parse_json(sys.stdin.read()))
-    if args.doc is None:
-        raise InputError("provide a document path or --json")
-    return Document(_parse_json(_read_text(args.doc)))
-
-
-def _load_pair(args: argparse.Namespace) -> tuple[Document, Document]:
-    if getattr(args, "json", False):
-        obj = _parse_json(sys.stdin.read())
-        if not isinstance(obj, dict) or "first" not in obj or "second" not in obj:
-            raise InputError("--json input must be {\"first\": ..., \"second\": ...}")
-        return Document(obj["first"]), Document(obj["second"])
-    if args.doc is None or args.doc2 is None:
-        raise InputError("provide two document paths or --json")
-    return (
-        Document(_parse_json(_read_text(args.doc))),
-        Document(_parse_json(_read_text(args.doc2))),
-    )
-
-
 def _parse_pattern(raw: Any, r: int, n: int) -> ParabolicType:
-    """Rows of 0/1 of length r, or per-point lists of 1-based picks."""
+    """Rows of 0/1 of length r, or per-point lists of distinct 1-based picks."""
     if not isinstance(raw, list) or len(raw) != n:
         raise InputError(f"pattern must list one row per point ({n})")
-    rows = []
     incidence = all(
         isinstance(row, list)
         and len(row) == r
@@ -232,12 +211,15 @@ def _parse_pattern(raw: Any, r: int, n: int) -> ParabolicType:
     try:
         if incidence:
             return ParabolicType(tuple(tuple(row) for row in raw))
+        picks = []
         for row in raw:
             if not isinstance(row, list):
                 raise InputError("pattern rows must be lists")
-            picks = set(_parse_int(v, "pattern index") for v in row)
-            rows.append(tuple(1 if i in picks else 0 for i in range(1, r + 1)))
-        return ParabolicType(tuple(rows))
+            picks.append([_parse_int(v, "pattern index") for v in row])
+        for row in picks:
+            if len(set(row)) != len(row):
+                raise InputError(f"invalid pattern: repeated picks in {row}")
+        return ParabolicType.from_indices(r, picks)
     except DomainError as exc:
         raise InputError(f"invalid pattern: {exc}") from None
 
@@ -307,255 +289,297 @@ def _parse_matrix(obj: Any) -> LaurentMatrix:
         raise InputError(str(exc)) from None
 
 
-def _load_matrix(args: argparse.Namespace, attr: str = "doc") -> LaurentMatrix:
-    if getattr(args, "json", False):
-        return _parse_matrix(_parse_json(sys.stdin.read()))
-    path = getattr(args, attr)
-    if path is None:
-        raise InputError("provide a matrix document path or --json")
-    return _parse_matrix(_parse_json(_read_text(path)))
+def _read_doc(path: str, parse: Callable[[Any], Any] = Document) -> Any:
+    return parse(_parse_json(_read_text(path)))
+
+
+# input kind: (parser, noun in messages, keys of a --json pair,
+#              help of each positional path, help of --json)
+_KINDS: dict[str, tuple] = {
+    "doc": (
+        Document, "document", None,
+        ("path to a JSON weight document",), "read the document from stdin",
+    ),
+    "pair": (
+        Document, "document", ("first", "second"),
+        ("path to the first JSON document", "path to the second JSON document"),
+        'read {"first": ..., "second": ...} from stdin',
+    ),
+    "matrix": (
+        _parse_matrix, "matrix document", None,
+        ("path to a matrix document",), "read the matrix from stdin",
+    ),
+    "matrices": (
+        _parse_matrix, "matrix document", ("a", "b"),
+        ("path to matrix document A", "path to matrix document B"),
+        'read {"a": ..., "b": ...} from stdin',
+    ),
+}
+_PATHS = ("doc", "doc2")
+
+
+def _load(args: argparse.Namespace) -> Any:
+    """The subcommand's input, from stdin under --json or else from its paths.
+
+    A pair kind returns a tuple of two parsed documents.
+    """
+    parse, noun, keys, path_helps, _ = _KINDS[args.kind]
+    if args.json:
+        obj = _parse_json(sys.stdin.read())
+        if keys is None:
+            return parse(obj)
+        if not isinstance(obj, dict) or not all(key in obj for key in keys):
+            raise InputError('--json input must be {"%s": ..., "%s": ...}' % keys)
+        return tuple(parse(obj[key]) for key in keys)
+    paths = [getattr(args, dest) for dest in _PATHS[: len(path_helps)]]
+    if None in paths:
+        if keys is None:
+            raise InputError(f"provide a {noun} path or --json")
+        raise InputError(f"provide two {noun} paths or --json")
+    docs = tuple(_read_doc(path, parse) for path in paths)
+    return docs[0] if keys is None else docs
+
+
+def _agree(doc1: Document, doc2: Document, *fields: str) -> None:
+    for field in fields:
+        if getattr(doc1, field) != getattr(doc2, field):
+            raise InputError(f"documents disagree on {field}")
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def _ser_frac(value: Fraction) -> str:
-    return str(value)
+def _to_json(value: Any) -> Any:
+    """The JSON form of an exact value: rationals as strings, Laurent
+    polynomials as sorted [exponent, coefficient] pairs."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, Laurent):
+        return sorted(value.coeffs.items())
+    if isinstance(value, LaurentMatrix):
+        return value.rows
+    if isinstance(value, NumTransform):
+        return vars(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _ser_weights(w: WeightSystem) -> dict:
-    return {
-        "r": w.rank,
-        "points": list(w.points),
-        "weights": [[_ser_frac(a) for a in tup] for tup in w.weights],
-    }
+def _ser_weights(w: WeightSystem, degree: int) -> dict:
+    return {"r": w.rank, "points": w.points, "weights": w.weights, "degree": degree}
 
 
-def _ser_word(t: NumTransform) -> dict:
-    return {
-        "perm": list(t.perm),
-        "sign": t.sign,
-        "tdeg": t.tdeg,
-        "hecke": list(t.hecke),
-    }
+def _ser_wall(wall: Any) -> Optional[dict]:
+    """A Wall or GenericityWitness, its pattern given as per-point "picks".
 
-
-def _ser_laurent(value: Laurent) -> list:
-    return [[e, _ser_frac(c)] for e, c in sorted(value.coeffs.items())]
-
-
-def _ser_matrix(m: LaurentMatrix) -> list:
-    return [[_ser_laurent(v) for v in row] for row in m.rows]
-
-
-def _ser_witness(witness) -> Optional[dict]:
-    if witness is None:
+    A shallow copy of the fields: ``walls --all`` can report hundreds of
+    walls, and ``dataclasses.asdict`` deep-copies each one.
+    """
+    if wall is None:
         return None
-    return {
-        "subrank": witness.subrank,
-        "picks": [list(c) for c in witness.pattern],
-        "m": witness.m,
-    }
+    out = dict(vars(wall))
+    out["picks"] = out.pop("pattern")
+    return out
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (exit_code, payload)
+# subcommands; each handler returns its payload
+
+_COMMANDS: list[tuple] = []
 
 
-def _cmd_normalize(args) -> tuple[int, dict]:
-    doc = _load_single(args)
-    out = _ser_weights(normalize(doc.weights))
-    out["degree"] = doc.degree
-    return 0, out
+def _arg(*flags: str, **options: Any) -> tuple:
+    return flags, options
 
 
-def _cmd_owt(args) -> tuple[int, dict]:
-    doc = _load_single(args)
+def _command(name: str, help: str, kind: Optional[str] = None, *extra: tuple):
+    """Register a handler under ``name``, reading the input ``kind`` of _KINDS."""
+
+    def register(handler: Callable[[argparse.Namespace], dict]):
+        _COMMANDS.append((name, help, kind, extra, handler))
+        return handler
+
+    return register
+
+
+_STRICT = _arg("--strict", action="store_true", help="require generic weights")
+
+
+@_command("normalize", "canonical translation representative", "doc")
+def _cmd_normalize(args) -> dict:
+    doc = _load(args)
+    return _ser_weights(normalize(doc.weights), doc.degree)
+
+
+@_command(
+    "owt", "selected-weight sum, pdeg and twisting slack", "doc",
+    _arg("--pattern", required=True, help="JSON rows of 0/1 or 1-based picks"),
+)
+def _cmd_owt(args) -> dict:
+    doc = _load(args)
     t = _parse_pattern(_parse_json(args.pattern), doc.r, doc.weights.npoints)
-    payload = {
-        "owt": _ser_frac(owt(doc.weights, t)),
-        "pdeg": _ser_frac(pdeg(doc.degree, doc.weights)),
+    return {
+        "owt": owt(doc.weights, t),
+        "pdeg": pdeg(doc.degree, doc.weights),
         "subrank": t.subrank,
+        "s_min": s_min(doc.weights, t) if 0 < t.subrank < doc.r else None,
     }
-    if 0 < t.subrank < doc.r:
-        payload["s_min"] = _ser_frac(s_min(doc.weights, t))
-    else:
-        payload["s_min"] = None
-    return 0, payload
 
 
-def _cmd_invariant(args) -> tuple[int, dict]:
-    doc = _load_single(args)
+@_command("invariant", "chamber fingerprint over admissible patterns", "doc")
+def _cmd_invariant(args) -> dict:
+    doc = _load(args)
     inv = chamber_invariant(doc.r, doc.weights, doc.degree)
     lower, upper = subdegree_bounds(doc.r, doc.degree, doc.weights.npoints)
-    return 0, {
+    return {
         "r": inv.r,
         "n": inv.n,
         "degree": inv.d,
-        "types": [[list(row) for row in t.rows] for t in inv.types],
-        "values": list(inv.values),
-        "bounds": {"lower_open": _ser_frac(lower), "upper": _ser_frac(upper)},
+        "types": [t.rows for t in inv.types],
+        "values": inv.values,
+        "bounds": {"lower_open": lower, "upper": upper},
     }
 
 
-def _cmd_same_chamber(args) -> tuple[int, dict]:
-    doc1, doc2 = _load_pair(args)
-    if doc1.r != doc2.r:
-        raise InputError("documents disagree on r")
-    if doc1.degree != doc2.degree:
-        raise InputError("documents disagree on degree")
+@_command("same-chamber", "compare two fingerprints", "pair")
+def _cmd_same_chamber(args) -> dict:
+    doc1, doc2 = _load(args)
+    _agree(doc1, doc2, "r", "degree")
     same = same_numerical_chamber(doc1.r, doc1.weights, doc2.weights, doc1.degree)
-    payload: dict = {"same": same, "degree": doc1.degree}
     try:
-        walls = walls_crossed(doc1.r, doc1.weights, doc2.weights, doc1.degree)
-        payload["walls"] = [
-            {
-                "subrank": wall.subrank,
-                "picks": [list(c) for c in wall.pattern],
-                "m": wall.m,
-                "relevant": wall.relevant,
-            }
-            for wall in walls
-        ]
+        crossed = walls_crossed(doc1.r, doc1.weights, doc2.weights, doc1.degree)
+        walls = [_ser_wall(w) for w in crossed]
     except DomainError:
-        payload["walls"] = None
-    return 0, payload
+        walls = None
+    return {"same": same, "degree": doc1.degree, "walls": walls}
 
 
-def _cmd_walls(args) -> tuple[int, dict]:
-    doc1, doc2 = _load_pair(args)
-    if doc1.r != doc2.r:
-        raise InputError("documents disagree on r")
-    if doc1.degree != doc2.degree:
-        raise InputError("documents disagree on degree")
+@_command(
+    "walls", "integer wall levels crossed between two systems", "pair",
+    _arg("--all", action="store_true", help="include degree-irrelevant walls"),
+)
+def _cmd_walls(args) -> dict:
+    doc1, doc2 = _load(args)
+    _agree(doc1, doc2, "r", "degree")
     walls = walls_crossed(
         doc1.r, doc1.weights, doc2.weights, doc1.degree, relevant_only=not args.all
     )
-    return 0, {
-        "degree": doc1.degree,
-        "count": len(walls),
-        "walls": [
-            {
-                "subrank": wall.subrank,
-                "picks": [list(c) for c in wall.pattern],
-                "m": wall.m,
-                "relevant": wall.relevant,
-            }
-            for wall in walls
-        ],
-    }
+    return {"degree": doc1.degree, "count": len(walls), "walls": [_ser_wall(w) for w in walls]}
 
 
-def _cmd_generic(args) -> tuple[int, dict]:
-    doc = _load_single(args)
+@_command("generic", "wall membership tests", "doc")
+def _cmd_generic(args) -> dict:
+    doc = _load(args)
     blanket = is_generic(doc.weights)
     relative = is_degree_generic(doc.weights, doc.degree)
-    return 0, {
+    return {
         "generic": blanket.generic,
-        "witness": _ser_witness(blanket.witness),
+        "witness": _ser_wall(blanket.witness),
         "degree": doc.degree,
         "degree_generic": relative.generic,
-        "degree_witness": _ser_witness(relative.witness),
+        "degree_witness": _ser_wall(relative.witness),
     }
 
 
-def _cmd_concentrated(args) -> tuple[int, dict]:
-    doc = _load_single(args)
-    w = doc.weights
-    bound = Fraction(4, w.npoints * w.rank * w.rank)
-    return 0, {
+@_command("concentrated", "per-point weight spread test", "doc")
+def _cmd_concentrated(args) -> dict:
+    w = _load(args).weights
+    return {
         "concentrated": is_concentrated(w),
-        "bound": _ser_frac(bound),
-        "spreads": [_ser_frac(tup[-1] - tup[0]) for tup in w.weights],
+        "bound": Fraction(4, w.npoints * w.rank * w.rank),
+        "spreads": [tup[-1] - tup[0] for tup in w.weights],
     }
 
 
-def _cmd_dims(args) -> tuple[int, dict]:
-    result = dims(args.genus, args.points, args.rank)
-    payload = {
-        "fixed_det": result.fixed_det,
-        "nonfixed": result.nonfixed,
-        "w": list(result.w),
-        "w_total": result.w_total,
-        "stratum": None,
-    }
+@_command(
+    "dims", "moduli dimension formulas", None,
+    _arg("--genus", type=int, required=True),
+    _arg("--points", type=int, required=True),
+    _arg("--rank", type=int, required=True),
+    _arg("--stratum", type=int, default=None),
+)
+def _cmd_dims(args) -> dict:
+    payload = dataclasses.asdict(dims(args.genus, args.points, args.rank))
+    payload["stratum"] = None
     if args.stratum is not None:
         payload["stratum"] = dim_nonreduced_stratum(
             args.genus, args.points, args.rank, args.stratum
         )
-    return 0, payload
+    return payload
 
 
-def _cmd_bounds(args) -> tuple[int, dict]:
-    doc = _load_single(args)
-    w2 = None
-    if args.doc2 is not None:
-        w2 = Document(_parse_json(_read_text(args.doc2))).weights
+@_command(
+    "bounds", "genus thresholds", "doc",
+    _arg("--doc2", default=None, help="optional second weight document"),
+    _arg("--pattern", default=None, help="pattern for the refined bound"),
+    _arg("--l", type=int, default=1),
+    _arg("--m", type=int, default=0),
+    _arg("--k", type=int, default=0),
+)
+def _cmd_bounds(args) -> dict:
+    doc = _load(args)
+    w2 = None if args.doc2 is None else _read_doc(args.doc2).weights
     t = None
     if args.pattern is not None:
         t = _parse_pattern(_parse_json(args.pattern), doc.r, doc.weights.npoints)
     result = genus_bounds(doc.weights, w2=w2, t=t, l=args.l, m=args.m, k=args.k)
-    return 0, {
-        "chamber": result.chamber,
-        "refined": None if result.refined is None else _ser_frac(result.refined),
-        "lm": _ser_frac(result.lm),
-        "codim": _ser_frac(result.codim),
-    }
+    return dataclasses.asdict(result)
 
 
-def _cmd_transform(args) -> tuple[int, dict]:
-    doc = _load_single(args)
+@_command(
+    "transform", "apply a transformation word", "doc",
+    _arg("--word", required=True, help="JSON {perm, sign, tdeg, hecke}"),
+)
+def _cmd_transform(args) -> dict:
+    doc = _load(args)
     word = _parse_word(args.word, doc.r, doc)
-    image = apply_to_weights(word, doc.weights)
-    out = _ser_weights(image)
-    out["degree"] = apply_to_degree(word, doc.degree, doc.r)
-    out["word"] = _ser_word(word)
-    return 0, out
+    degree = apply_to_degree(word, doc.degree, doc.r)
+    return {**_ser_weights(apply_to_weights(word, doc.weights), degree), "word": word}
 
 
-def _cmd_compose(args) -> tuple[int, dict]:
+@_command(
+    "compose", "normal form of a two-word product", None,
+    _arg("--rank", type=int, required=True),
+    _arg("word1", help="JSON transform (acts second)"),
+    _arg("word2", help="JSON transform (acts first)"),
+)
+def _cmd_compose(args) -> dict:
     t1 = _parse_word(args.word1, args.rank)
     t2 = _parse_word(args.word2, args.rank)
-    return 0, {"word": _ser_word(compose(t1, t2, args.rank))}
+    return {"word": compose(t1, t2, args.rank)}
 
 
-def _cmd_inverse(args) -> tuple[int, dict]:
-    t = _parse_word(args.word, args.rank)
-    return 0, {"word": _ser_word(inverse(t, args.rank))}
+@_command(
+    "inverse", "inverse word in normal form", None,
+    _arg("--rank", type=int, required=True),
+    _arg("word", help="JSON transform"),
+)
+def _cmd_inverse(args) -> dict:
+    return {"word": inverse(_parse_word(args.word, args.rank), args.rank)}
 
 
-def _cmd_aut(args) -> tuple[int, dict]:
-    doc = _load_single(args)
+@_command("aut", "degree- and chamber-preserving classes", "doc", _STRICT)
+def _cmd_aut(args) -> dict:
+    doc = _load(args)
     curve = doc.curve()
     result = automorphism_group(
-        doc.r,
-        doc.weights.npoints,
-        doc.degree,
-        curve.genus,
-        doc.weights,
-        curve,
+        doc.r, doc.weights.npoints, doc.degree, curve.genus, doc.weights, curve,
         strict=args.strict,
     )
-    return 0, {
-        "r": result.r,
-        "degree": result.d,
-        "genus": result.genus,
-        "classes": [_ser_word(t) for t in result.classes],
-        "torsion_factor": result.torsion_factor,
-        "order": result.order,
-        "generic": result.generic,
-        "degree_generic": result.degree_generic,
-        "chamber_genus": result.chamber_genus,
-        "classification_genus": result.classification_genus,
-        "genus_sufficient": result.genus_sufficient,
-    }
+    payload = dataclasses.asdict(result)
+    del payload["lift_faithful_genus"]
+    payload["degree"] = payload.pop("d")
+    payload["genus_sufficient"] = result.genus_sufficient
+    return payload
 
 
-def _cmd_iso(args) -> tuple[int, dict]:
-    doc1, doc2 = _load_pair(args)
-    if doc1.r != doc2.r:
-        raise InputError("documents disagree on r")
+@_command(
+    "iso", "classes carrying one space onto another", "pair",
+    _arg("--perms", default=None, help="JSON list of extra point relabelings"),
+    _STRICT,
+)
+def _cmd_iso(args) -> dict:
+    doc1, doc2 = _load(args)
+    _agree(doc1, doc2, "r")
     perms: list[tuple[int, ...]] = []
     if args.perms is not None:
         raw = _parse_json(args.perms)
@@ -563,347 +587,212 @@ def _cmd_iso(args) -> tuple[int, dict]:
             raise InputError("--perms must be a JSON list of perms")
         perms = [doc1.parse_perm(p) for p in raw]
     found = iso_transforms(
-        doc1.r,
-        doc1.weights.npoints,
-        doc1.degree,
-        doc1.weights,
-        doc2.degree,
-        doc2.weights,
-        curve_iso=perms,
-        strict=args.strict,
+        doc1.r, doc1.weights.npoints, doc1.degree, doc1.weights, doc2.degree, doc2.weights,
+        curve_iso=perms, strict=args.strict,
     )
-    return 0, {
+    return {
         "count": len(found),
-        "transforms": [_ser_word(t) for t in found],
+        "transforms": found,
         "degree_from": doc1.degree,
         "degree_to": doc2.degree,
     }
 
 
-def _cmd_orders(args) -> tuple[int, dict]:
-    result = concentrated_orders(args.genus, args.rank, args.points, args.aut_order)
-    return 0, {"aut": result.aut, "threebir": result.threebir, "ratio": result.ratio}
+@_command(
+    "orders", "group orders for concentrated weights", None,
+    _arg("--genus", type=int, required=True),
+    _arg("--rank", type=int, required=True),
+    _arg("--points", type=int, required=True),
+    _arg("--aut-order", type=int, default=1, dest="aut_order"),
+)
+def _cmd_orders(args) -> dict:
+    return dataclasses.asdict(
+        concentrated_orders(args.genus, args.rank, args.points, args.aut_order)
+    )
 
 
-def _cmd_matrix_xi(args) -> tuple[int, dict]:
-    xi = xi_matrix(args.n)
-    return 0, {"n": args.n, "xi": [list(row) for row in xi]}
+@_command("matrix-xi", "the exponent pattern matrix", None, _arg("--n", type=int, required=True))
+def _cmd_matrix_xi(args) -> dict:
+    return {"n": args.n, "xi": xi_matrix(args.n)}
 
 
-def _cmd_matrix_rank1(args) -> tuple[int, dict]:
-    m = _load_matrix(args)
-    factored = rank1_factor(m.rows)
-    if factored is None:
-        return 0, {"rank1": False, "col": None, "row": None}
-    col, row = factored
-    return 0, {
-        "rank1": True,
-        "col": [_ser_laurent(v) for v in col],
-        "row": [_ser_laurent(v) for v in row],
-    }
+@_command("matrix-rank1", "outer-product factorization", "matrix")
+def _cmd_matrix_rank1(args) -> dict:
+    factored = rank1_factor(_load(args).rows)
+    col, row = factored or (None, None)
+    return {"rank1": factored is not None, "col": col, "row": row}
 
 
-def _cmd_matrix_mp(args) -> tuple[int, dict]:
-    if args.json:
-        obj = _parse_json(sys.stdin.read())
-        if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
-            raise InputError("--json input must be {\"a\": ..., \"b\": ...}")
-        a = _parse_matrix(obj["a"])
-        b = _parse_matrix(obj["b"])
-    else:
-        if args.doc is None or args.doc2 is None:
-            raise InputError("provide two matrix document paths or --json")
-        a = _parse_matrix(_parse_json(_read_text(args.doc)))
-        b = _parse_matrix(_parse_json(_read_text(args.doc2)))
+@_command(
+    "matrix-mp", "twisted conjugation matrix of a pair", "matrices",
+    _arg("--check-inner", action="store_true", dest="check_inner"),
+)
+def _cmd_matrix_mp(args) -> dict:
+    a, b = _load(args)
     product = mp_closed_form(a, b)
-    payload: dict = {"n": a.nrows, "mp": _ser_matrix(product)}
+    payload: dict = {"n": a.nrows, "mp": product}
     if args.check_inner:
         payload["pure_tensor"] = is_pure_tensor(product) is not None
-        inner = is_inner(product)
-        payload["inner"] = inner is not None
-        payload["inner_matrix"] = None if inner is None else _ser_matrix(inner)
-    return 0, payload
+        payload["inner_matrix"] = is_inner(product)
+        payload["inner"] = payload["inner_matrix"] is not None
+    return payload
 
 
-def _cmd_matrix_hecke(args) -> tuple[int, dict]:
+@_command(
+    "matrix-hecke", "does conjugation preserve the stalk algebra", "matrix",
+    _arg("--precision", type=int, default=24),
+)
+def _cmd_matrix_hecke(args) -> dict:
     if args.precision < 1:
         raise InputError(f"--precision must be at least 1, got {args.precision}")
-    m = _load_matrix(args)
-    report = hecke_conjugation_check(m, precision=args.precision)
-    return 0, {
-        "n": report.n,
-        "parabolic_input": report.parabolic_input,
-        "det_valuation": report.det_valuation,
-        "k": report.k,
-        "integral": report.integral,
-        "offenders": [list(o) for o in report.offenders],
-        "precision": report.precision,
-    }
+    return dataclasses.asdict(hecke_conjugation_check(_load(args), precision=args.precision))
 
 
 # ---------------------------------------------------------------------------
-# fixtures
+# fixtures: the frozen example families, one named claim each
+
+# claim name -> check returning (holds, detail), in report order
+FIXTURE_CLAIMS: dict[str, Callable[[], tuple[bool, str]]] = {}
 
 
-def _fixture_checks() -> list[dict]:
-    checks: list[dict] = []
+def _claim(name: str):
+    def register(check: Callable[[], tuple[bool, str]]):
+        FIXTURE_CLAIMS[name] = check
+        return check
 
-    def record(name: str, ok: bool, detail: str) -> None:
-        checks.append({"name": name, "pass": bool(ok), "detail": detail})
+    return register
 
-    # rank-2 family, two points: base weights (a1, a2), partner point
-    # (a2 - 1/2, a1 + 1/2)
-    def rank2_member(a1: Fraction, a2: Fraction) -> WeightSystem:
-        return weight_system(
-            [[a1, a2], [a2 - Fraction(1, 2), a1 + Fraction(1, 2)]],
-            points=["x", "y"],
-        )
 
+def _rank2_member(a2: Fraction) -> WeightSystem:
+    """Base weights (1/10, a2) at x, partner point (a2 - 1/2, 1/10 + 1/2) at y."""
+    a1 = Fraction(1, 10)
+    return weight_system([[a1, a2], [a2 - Fraction(1, 2), a1 + Fraction(1, 2)]], points=["x", "y"])
+
+
+def _classes(result: AutResult) -> list:
+    return sorted((t.perm, t.sign, t.tdeg, t.hecke) for t in result.classes)
+
+
+_ALPHA3 = weight_system([[Fraction(1, 8), Fraction(3, 8), Fraction(7, 8)]])
+_ALPHA4 = weight_system([[Fraction(1, 16), Fraction(3, 16), Fraction(5, 16), Fraction(15, 16)]])
+
+
+@_claim("rank2 full Hecke shift equals the point swap")
+def _rank2_swap() -> tuple[bool, str]:
     swap = NumTransform((1, 0), 1, 0, (0, 0))
-    ok = True
-    shown = []
+    ok, shown = True, []
     for a2 in (Fraction(3, 5), Fraction(7, 10)):
-        member = rank2_member(Fraction(1, 10), a2)
+        member = _rank2_member(a2)
         lhs = hecke_weights(normalize(member), (1, 1))
-        rhs = apply_to_weights(swap, member)
-        ok = ok and lhs == rhs
+        ok = ok and lhs == apply_to_weights(swap, member)
         shown.append([[str(a) for a in t] for t in lhs.weights])
-    record(
-        "rank2 full Hecke shift equals the point swap",
-        ok,
-        f"{shown}",
-    )
+    return ok, f"{shown}"
 
-    generic_member = rank2_member(Fraction(1, 10), Fraction(7, 10))
+
+@_claim("rank2 classes are the identity and the swapped full Hecke shift")
+def _rank2_classes() -> tuple[bool, str]:
     curve = CurveData(genus=2, points=("x", "y"), symmetries=(((1, 0), 1),))
-    result = automorphism_group(2, 2, 0, 2, generic_member, curve)
-    got = sorted((t.perm, t.sign, t.tdeg, t.hecke) for t in result.classes)
+    result = automorphism_group(2, 2, 0, 2, _rank2_member(Fraction(7, 10)), curve)
+    got = _classes(result)
     want = [((0, 1), 1, 0, (0, 0)), ((1, 0), 1, 1, (1, 1))]
-    record(
-        "rank2 classes are the identity and the swapped full Hecke shift",
-        got == want and result.order == 2 ** 4 * 2,
-        f"classes={got} order={result.order}",
-    )
-
-    base = normalize(generic_member)
-    separated = True
-    for h in ((1, 0), (0, 1), (1, 1)):
-        image = hecke_weights(base, h)
-        if same_numerical_chamber(2, image, base, 0):
-            separated = False
-    record(
-        "rank2 single and double Hecke shifts leave the chamber",
-        separated,
-        "compared against the fingerprint at degree 0",
-    )
-
-    alpha3 = weight_system([[Fraction(1, 8), Fraction(3, 8), Fraction(7, 8)]])
-    shifted = hecke_weights(alpha3, (1,))
-    record(
-        "rank3 Hecke shift value",
-        shifted.weights[0] == (Fraction(0), Fraction(1, 2), Fraction(3, 4)),
-        f"{[str(a) for a in shifted.weights[0]]}",
-    )
-
-    t3 = NumTransform((0,), -1, 1, (1,))
-    record(
-        "rank3 dualized Hecke shift fixes the weight class",
-        apply_to_weights(t3, alpha3) == normalize(alpha3),
-        "image equals (0, 1/4, 3/4)",
-    )
-    record(
-        "rank3 involution squares to the identity and fixes degree -1",
-        compose(t3, t3, 3).is_identity() and apply_to_degree(t3, -1, 3) == -1,
-        "T.T = id, degree -1 -> -1",
-    )
-    result3 = automorphism_group(3, 1, -1, 2, alpha3, trivial_curve(2, ["x"]))
-    got3 = sorted((t.perm, t.sign, t.tdeg, t.hecke) for t in result3.classes)
-    want3 = [((0,), -1, 1, (1,)), ((0,), 1, 0, (0,))]
-    record(
-        "rank3 classes are the identity and the involution",
-        got3 == want3 and result3.order == 2 * 3 ** 4,
-        f"classes={got3} order={result3.order}",
-    )
-    base3 = normalize(alpha3)
-    sh1 = hecke_weights(base3, (1,))
-    sh2 = hecke_weights(base3, (2,))
-    record(
-        "rank3 chamber fingerprints separate the three Hecke images",
-        not same_numerical_chamber(3, base3, sh1, -1)
-        and not same_numerical_chamber(3, base3, sh2, -1)
-        and not same_numerical_chamber(3, sh1, sh2, -1),
-        "pairwise distinct at degree -1",
-    )
-
-    eps = Fraction(1, 16)
-    alpha4 = weight_system([[eps, 3 * eps, 5 * eps, 1 - eps]])
-    t4 = NumTransform((0,), -1, 1, (2,))
-    record(
-        "rank4 dualized double Hecke shift fixes the weight class",
-        apply_to_weights(t4, alpha4) == normalize(alpha4),
-        "image equals the normalized weights",
-    )
-    record(
-        "rank4 involution squares to the identity and fixes degree -1",
-        compose(t4, t4, 4).is_identity() and apply_to_degree(t4, -1, 4) == -1,
-        "T.T = id, degree -1 -> -1",
-    )
-    result4 = automorphism_group(4, 1, -1, 2, alpha4, trivial_curve(2, ["x"]))
-    got4 = sorted((t.perm, t.sign, t.tdeg, t.hecke) for t in result4.classes)
-    want4 = [((0,), -1, 1, (2,)), ((0,), 1, 0, (0,))]
-    record(
-        "rank4 classes are the identity and the involution",
-        got4 == want4 and result4.order == 2 * 4 ** 4,
-        f"classes={got4} order={result4.order}",
-    )
-    return checks
+    return got == want and result.order == 2 ** 4 * 2, f"classes={got} order={result.order}"
 
 
-def _cmd_fixtures(args) -> tuple[int, dict]:
-    checks = _fixture_checks()
-    all_pass = all(c["pass"] for c in checks)
-    return (0 if all_pass else 1), {"all_pass": all_pass, "checks": checks}
+@_claim("rank2 single and double Hecke shifts leave the chamber")
+def _rank2_separated() -> tuple[bool, str]:
+    base = normalize(_rank2_member(Fraction(7, 10)))
+    images = [hecke_weights(base, h) for h in ((1, 0), (0, 1), (1, 1))]
+    separated = not any(same_numerical_chamber(2, image, base, 0) for image in images)
+    return separated, "compared against the fingerprint at degree 0"
+
+
+@_claim("rank3 Hecke shift value")
+def _rank3_shift() -> tuple[bool, str]:
+    shifted = hecke_weights(_ALPHA3, (1,)).weights[0]
+    return shifted == (Fraction(0), Fraction(1, 2), Fraction(3, 4)), f"{[str(a) for a in shifted]}"
+
+
+def _involution_claims(r: int, alpha: WeightSystem, shift: int, shifted: str, image: str) -> None:
+    """The dualized Hecke shift t = ((0,), -1, 1, (shift,)) of a one-point family."""
+    t = NumTransform((0,), -1, 1, (shift,))
+
+    @_claim(f"rank{r} dualized {shifted} fixes the weight class")
+    def _fixes() -> tuple[bool, str]:
+        return apply_to_weights(t, alpha) == normalize(alpha), image
+
+    @_claim(f"rank{r} involution squares to the identity and fixes degree -1")
+    def _involution() -> tuple[bool, str]:
+        ok = compose(t, t, r).is_identity() and apply_to_degree(t, -1, r) == -1
+        return ok, "T.T = id, degree -1 -> -1"
+
+    @_claim(f"rank{r} classes are the identity and the involution")
+    def _aut_classes() -> tuple[bool, str]:
+        result = automorphism_group(r, 1, -1, 2, alpha, trivial_curve(2, ["x"]))
+        got = _classes(result)
+        want = [((0,), -1, 1, (shift,)), ((0,), 1, 0, (0,))]
+        return got == want and result.order == 2 * r ** 4, f"classes={got} order={result.order}"
+
+
+_involution_claims(3, _ALPHA3, 1, "Hecke shift", "image equals (0, 1/4, 3/4)")
+
+
+@_claim("rank3 chamber fingerprints separate the three Hecke images")
+def _rank3_separated() -> tuple[bool, str]:
+    base = normalize(_ALPHA3)
+    sh1, sh2 = hecke_weights(base, (1,)), hecke_weights(base, (2,))
+    ok = not any(
+        same_numerical_chamber(3, u, v, -1) for u, v in ((base, sh1), (base, sh2), (sh1, sh2))
+    )
+    return ok, "pairwise distinct at degree -1"
+
+
+_involution_claims(4, _ALPHA4, 2, "double Hecke shift", "image equals the normalized weights")
+
+
+@_command("fixtures", "run the frozen example families")
+def _cmd_fixtures(args) -> dict:
+    checks = []
+    for name, check in FIXTURE_CLAIMS.items():
+        ok, detail = check()
+        checks.append({"name": name, "pass": bool(ok), "detail": detail})
+    return {"all_pass": all(c["pass"] for c in checks), "checks": checks}
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 
 
-def _add_doc(p: argparse.ArgumentParser) -> None:
-    p.add_argument("doc", nargs="?", help="path to a JSON weight document")
-    p.add_argument("--json", action="store_true", help="read the document from stdin")
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are input errors, reported as JSON like any other."""
 
-
-def _add_pair(p: argparse.ArgumentParser) -> None:
-    p.add_argument("doc", nargs="?", help="path to the first JSON document")
-    p.add_argument("doc2", nargs="?", help="path to the second JSON document")
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help='read {"first": ..., "second": ...} from stdin',
-    )
+    def error(self, message: str):
+        raise InputError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parastab",
         description="Exact stability-chamber invariants and transformation groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("normalize", help="canonical translation representative")
-    _add_doc(p)
-    p.set_defaults(handler=_cmd_normalize)
-
-    p = sub.add_parser("owt", help="selected-weight sum, pdeg and twisting slack")
-    _add_doc(p)
-    p.add_argument("--pattern", required=True, help="JSON rows of 0/1 or 1-based picks")
-    p.set_defaults(handler=_cmd_owt)
-
-    p = sub.add_parser("invariant", help="chamber fingerprint over admissible patterns")
-    _add_doc(p)
-    p.set_defaults(handler=_cmd_invariant)
-
-    p = sub.add_parser("same-chamber", help="compare two fingerprints")
-    _add_pair(p)
-    p.set_defaults(handler=_cmd_same_chamber)
-
-    p = sub.add_parser("walls", help="integer wall levels crossed between two systems")
-    _add_pair(p)
-    p.add_argument("--all", action="store_true", help="include degree-irrelevant walls")
-    p.set_defaults(handler=_cmd_walls)
-
-    p = sub.add_parser("generic", help="wall membership tests")
-    _add_doc(p)
-    p.set_defaults(handler=_cmd_generic)
-
-    p = sub.add_parser("concentrated", help="per-point weight spread test")
-    _add_doc(p)
-    p.set_defaults(handler=_cmd_concentrated)
-
-    p = sub.add_parser("dims", help="moduli dimension formulas")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--stratum", type=int, default=None)
-    p.set_defaults(handler=_cmd_dims)
-
-    p = sub.add_parser("bounds", help="genus thresholds")
-    _add_doc(p)
-    p.add_argument("--doc2", default=None, help="optional second weight document")
-    p.add_argument("--pattern", default=None, help="pattern for the refined bound")
-    p.add_argument("--l", type=int, default=1)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
-    p.set_defaults(handler=_cmd_bounds)
-
-    p = sub.add_parser("transform", help="apply a transformation word")
-    _add_doc(p)
-    p.add_argument("--word", required=True, help="JSON {perm, sign, tdeg, hecke}")
-    p.set_defaults(handler=_cmd_transform)
-
-    p = sub.add_parser("compose", help="normal form of a two-word product")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("word1", help="JSON transform (acts second)")
-    p.add_argument("word2", help="JSON transform (acts first)")
-    p.set_defaults(handler=_cmd_compose)
-
-    p = sub.add_parser("inverse", help="inverse word in normal form")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("word", help="JSON transform")
-    p.set_defaults(handler=_cmd_inverse)
-
-    p = sub.add_parser("aut", help="degree- and chamber-preserving classes")
-    _add_doc(p)
-    p.add_argument("--strict", action="store_true", help="require generic weights")
-    p.set_defaults(handler=_cmd_aut)
-
-    p = sub.add_parser("iso", help="classes carrying one space onto another")
-    _add_pair(p)
-    p.add_argument("--perms", default=None, help="JSON list of extra point relabelings")
-    p.add_argument("--strict", action="store_true", help="require generic weights")
-    p.set_defaults(handler=_cmd_iso)
-
-    p = sub.add_parser("orders", help="group orders for concentrated weights")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--aut-order", type=int, default=1, dest="aut_order")
-    p.set_defaults(handler=_cmd_orders)
-
-    p = sub.add_parser("matrix-xi", help="the exponent pattern matrix")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_matrix_xi)
-
-    p = sub.add_parser("matrix-rank1", help="outer-product factorization")
-    p.add_argument("doc", nargs="?", help="path to a matrix document")
-    p.add_argument("--json", action="store_true", help="read the matrix from stdin")
-    p.set_defaults(handler=_cmd_matrix_rank1)
-
-    p = sub.add_parser("matrix-mp", help="twisted conjugation matrix of a pair")
-    p.add_argument("doc", nargs="?", help="path to matrix document A")
-    p.add_argument("doc2", nargs="?", help="path to matrix document B")
-    p.add_argument("--json", action="store_true", help='read {"a": ..., "b": ...} from stdin')
-    p.add_argument("--check-inner", action="store_true", dest="check_inner")
-    p.set_defaults(handler=_cmd_matrix_mp)
-
-    p = sub.add_parser("matrix-hecke", help="does conjugation preserve the stalk algebra")
-    p.add_argument("doc", nargs="?", help="path to a matrix document")
-    p.add_argument("--json", action="store_true", help="read the matrix from stdin")
-    p.add_argument("--precision", type=int, default=24)
-    p.set_defaults(handler=_cmd_matrix_hecke)
-
-    p = sub.add_parser("fixtures", help="run the frozen example families")
-    p.set_defaults(handler=_cmd_fixtures)
-
+    for name, help_text, kind, extra, handler in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if kind is not None:
+            _, _, _, path_helps, json_help = _KINDS[kind]
+            for dest, path_help in zip(_PATHS, path_helps):
+                p.add_argument(dest, nargs="?", help=path_help)
+            p.add_argument("--json", action="store_true", help=json_help)
+        for flags, options in extra:
+            p.add_argument(*flags, **options)
+        p.set_defaults(handler=handler, kind=kind)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; a payload with "all_pass" false exits 1."""
     try:
-        code, payload = args.handler(args)
+        args = build_parser().parse_args(argv)
+        payload = args.handler(args)
     except InputError as exc:
         _emit({"error": {"kind": "input", "message": str(exc)}})
         return 2
@@ -911,11 +800,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit({"error": {"kind": "domain", "message": str(exc)}})
         return 1
     _emit(payload)
-    return code
+    return 0 if payload.get("all_pass", True) else 1
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_to_json)
+    sys.stdout.write(text + "\n")
 
 
 if __name__ == "__main__":

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from parastab import (
     CurveData,
     Laurent,
@@ -49,6 +51,7 @@ from parastab import (
     weight_system,
     xi_matrix,
 )
+from parastab.cli import FIXTURE_CLAIMS
 from conftest import (
     rand_concentrated_weights,
     rand_generic_weights,
@@ -61,17 +64,24 @@ F = Fraction
 
 
 # ---------------------------------------------------------------------------
+# 0. the frozen example families, one test per claim of ``parastab fixtures``
+
+
+@pytest.mark.parametrize("name", list(FIXTURE_CLAIMS))
+def test_fixture_claim(name):
+    holds, detail = FIXTURE_CLAIMS[name]()
+    assert holds, detail
+
+
+# ---------------------------------------------------------------------------
 # 1. rank-3 single-point family
 
 
 def test_rank3_hecke_dual_involution_exact():
+    """The involution through the bare dual; the transform word, its square
+    and its degree action are fixture claims."""
     alpha = weight_system([[F(1, 8), F(3, 8), F(7, 8)]])
     assert dual_weights(hecke_weights(alpha, (1,))) == normalize(alpha)
-
-    t = make_transform((0,), -1, 1, (1,), 3)
-    assert apply_to_weights(t, alpha) == normalize(alpha)
-    assert compose(t, t, 3).is_identity()
-    assert apply_to_degree(t, -1, 3) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +94,6 @@ def _rank2_member(a2: Fraction) -> "weight_system":
         [[a1, a2], [a2 - F(1, 2), a1 + F(1, 2)]],
         points=["x", "y"],
     )
-
-
-def test_rank2_full_hecke_equals_point_swap():
-    swap = NumTransform((1, 0), 1, 0, (0, 0))
-    for a2 in (F(3, 5), F(7, 10)):
-        member = _rank2_member(a2)
-        assert hecke_weights(normalize(member), (1, 1)) == apply_to_weights(swap, member)
 
 
 def test_rank2_symmetry_classes_match_brute_force():

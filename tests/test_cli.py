@@ -417,3 +417,40 @@ def test_other_input_errors(tmp_path):
     no_genus = run_cli("aut", "--json", stdin=json.dumps(doc))
     assert no_genus.returncode == 2
     assert json.loads(no_genus.stdout)["error"]["kind"] == "input"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix-hecke", "--json", "--precision", "x"],
+        ["aut", "--bogus"],
+        ["bogus"],
+        [],
+        ["dims", "--genus", "2"],
+    ],
+)
+def test_argument_errors_are_input_errors(argv):
+    proc = run_cli(*argv, stdin="[[1]]")
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout)["error"]["kind"] == "input"
+
+
+def test_help_still_prints_usage():
+    proc = run_cli("aut", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: parastab aut")
+
+
+@pytest.mark.parametrize(
+    "pattern", ["[[3],[3]]", "[[0],[0]]", "[[1,1],[2]]", "[[1],[2,2]]", "[[-1],[1]]"]
+)
+def test_out_of_range_or_repeated_picks_exit_two(tmp_path, pattern):
+    path = write_doc(tmp_path, "doc.json", RANK2_DOC)
+    for argv in (["owt", path, "--pattern", pattern], ["bounds", path, "--pattern", pattern]):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert error["kind"] == "input"
+        assert error["message"].startswith("invalid pattern")

@@ -1,12 +1,14 @@
-"""The CLI contract for the matrix subcommands, on fuzzed documents.
+"""The CLI contract on fuzzed documents and arguments.
 
-Whatever JSON arrives on stdin and whatever integer ``--precision`` is given,
-``main()`` writes exactly one JSON line to stdout, nothing to stderr, and
-returns 0, 1 or 2; no exception escapes it.
+Whatever JSON arrives on stdin and whatever arguments are given, ``main()``
+writes exactly one JSON line to stdout, nothing to stderr, and returns 0, 1
+or 2; no exception escapes it.  Argument errors (a bad integer, an unknown
+flag, a missing or unknown subcommand) are input errors like any other.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import sys
@@ -15,7 +17,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parastab.cli import main
+from parastab.cli import build_parser, main
 
 SCALARS = (
     st.none()
@@ -76,6 +78,174 @@ def test_matrix_commands_keep_the_contract(command, doc, precision):
     if command == ["matrix-hecke"]:
         argv += ["--precision", str(precision)]
     code, out, err = run_main(argv, json.dumps(doc))
+    assert code in (0, 1, 2)
+    assert err == ""
+    assert out.endswith("\n") and out.count("\n") == 1
+    payload = json.loads(out)
+    assert ("error" in payload) == (code != 0)
+
+
+
+# Each fuzzed part is well formed nine times in ten, so the subcommands also
+# run to a result; weight documents have r <= 3 and at most 3 points, which
+# keeps aut and iso fast.
+LABELS = ("x", "y", "z")
+JUNK = VALUES | st.text(alphabet='[]{}01,:"x ', max_size=6)
+
+
+def seldom(draw) -> bool:
+    """True one time in ten; Hypothesis favours small integers, so on 9."""
+    return draw(st.integers(0, 9)) == 9
+
+
+def rarely(draw, good, bad):
+    """A draw from ``good``, or one time in ten from ``bad``."""
+    return draw(bad) if seldom(draw) else draw(good)
+
+
+@st.composite
+def weight_docs(draw, r=None, n=None):
+    r = draw(st.integers(1, 3)) if r is None else r
+    n = draw(st.integers(1, 3)) if n is None else n
+    den = draw(st.sampled_from([5, 7, 12]))
+    points = []
+    for label in LABELS[:n]:
+        nums = sorted(draw(st.lists(st.integers(0, den - 1), min_size=r, max_size=r, unique=True)))
+        weights = [f"{k}/{den}" for k in nums]
+        i = draw(st.integers(0, r - 1))
+        weights[i] = rarely(draw, st.just(weights[i]), SCALARS)
+        points.append({"label": label, "weights": weights})
+    doc = {"r": r, "degree": draw(st.integers(-3, 3)), "points": points}
+    if not seldom(draw):
+        doc["genus"] = rarely(draw, st.integers(0, 3), SCALARS)
+    if draw(st.booleans()):
+        perm = rarely(draw, st.permutations(LABELS[:n]) | st.permutations(range(n)), JUNK)
+        doc["symmetries"] = [{"perm": perm, "multiplicity": draw(st.integers(0, 2))}]
+    field = draw(st.sampled_from(["r", "degree", "points", "genus", "symmetries"]))
+    if field in doc:
+        doc[field] = rarely(draw, st.just(doc[field]), SCALARS)
+    return doc
+
+
+def shape(doc) -> tuple[int, int]:
+    """(r, number of points) of a document, each clamped to 1..3, or (2, 2)."""
+    try:
+        return min(max(int(doc["r"]), 1), 3), min(max(len(doc["points"]), 1), 3)
+    except (KeyError, TypeError, ValueError):
+        return 2, 2
+
+
+def ints(draw, low=-1, high=5) -> str:
+    return rarely(draw, st.integers(low, high).map(str), st.sampled_from(["x", "1.5", "", "2e1"]))
+
+
+def pattern(draw, r: int, n: int) -> str:
+    incidence = st.lists(st.integers(0, 1), min_size=r, max_size=r)
+    picks = st.lists(st.integers(0, r + 1), max_size=r)
+    rows = st.lists(incidence | picks, min_size=n, max_size=n)
+    return json.dumps(rarely(draw, rows, JUNK))
+
+
+def word(draw, r: int, n: int) -> str:
+    good = st.fixed_dictionaries(
+        {"perm": st.permutations(range(n)), "sign": st.sampled_from([1, -1])},
+        optional={
+            "tdeg": st.integers(-3, 3),
+            "hecke": st.lists(st.integers(-1, r + 1), min_size=n, max_size=n),
+        },
+    )
+    return json.dumps(rarely(draw, good, JUNK))
+
+
+def perms(draw, n: int) -> str:
+    good = st.lists(st.permutations(LABELS[:n]) | st.permutations(range(n)), max_size=2)
+    return json.dumps(rarely(draw, good, JUNK))
+
+
+DOC_COMMANDS = [
+    "normalize", "owt", "invariant", "generic", "concentrated", "bounds", "transform", "aut"
+]
+PAIR_COMMANDS = ["same-chamber", "walls", "iso"]
+MATRIX_COMMANDS = ["matrix-rank1", "matrix-hecke", "matrix-mp"]
+PLAIN_COMMANDS = ["dims", "orders", "matrix-xi", "compose", "inverse", "fixtures"]
+COMMANDS = DOC_COMMANDS + PAIR_COMMANDS + MATRIX_COMMANDS + PLAIN_COMMANDS
+
+
+def flags(draw, command: str, r: int, n: int) -> list[str]:
+    """The subcommand's own arguments; each flag is left out one time in ten."""
+    table = {
+        "owt": {"--pattern": lambda: pattern(draw, r, n)},
+        "bounds": {
+            "--pattern": lambda: pattern(draw, r, n),
+            **{f: lambda: ints(draw, -1, 3) for f in ("--l", "--m", "--k")},
+            "--doc2": lambda: "",  # the current directory: no readable document
+        },
+        "transform": {"--word": lambda: word(draw, r, n)},
+        "iso": {"--perms": lambda: perms(draw, n)},
+        "dims": {f: lambda: ints(draw) for f in ("--genus", "--points", "--rank", "--stratum")},
+        "orders": {
+            f: lambda: ints(draw) for f in ("--genus", "--rank", "--points", "--aut-order")
+        },
+        "matrix-xi": {"--n": lambda: ints(draw)},
+        "matrix-hecke": {"--precision": lambda: ints(draw, -2, 40)},
+        "compose": {"--rank": lambda: ints(draw, 1, 4)},
+        "inverse": {"--rank": lambda: ints(draw, 1, 4)},
+    }
+    argv = []
+    for flag, value in table.get(command, {}).items():
+        if not seldom(draw) and (flag != "--doc2" or draw(st.booleans())):
+            argv += [flag, value()]
+    argv += [word(draw, r, n) for _ in range({"compose": 2, "inverse": 1}.get(command, 0))]
+    switch = {"aut": "--strict", "walls": "--all", "iso": "--strict", "matrix-mp": "--check-inner"}
+    if command in switch and draw(st.booleans()):
+        argv.append(switch[command])
+    return argv
+
+
+@st.composite
+def invocations(draw):
+    """(argv, stdin) for one subcommand, then one time in ten an argument fault."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv, stdin, r, n = [command], "", draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if command in DOC_COMMANDS:
+        doc = rarely(draw, weight_docs(), JUNK)
+        r, n = shape(doc)
+    elif command in PAIR_COMMANDS:
+        pair = st.fixed_dictionaries
+        same_shape = pair({"first": weight_docs(r, n), "second": weight_docs(r, n)})
+        any_shape = pair({"first": weight_docs(), "second": weight_docs()})
+        doc = rarely(draw, same_shape, any_shape | JUNK)
+    elif command in MATRIX_COMMANDS:
+        doc = draw(DOCUMENTS)
+    if command not in PLAIN_COMMANDS:
+        argv.append("--json")
+        stdin = json.dumps(doc)
+    argv += flags(draw, command, r, n)
+    fault = draw(st.integers(0, 29))
+    if fault == 29:
+        argv.insert(draw(st.integers(1, len(argv))), "--bogus")
+    elif fault == 28:
+        argv = draw(st.sampled_from([[], ["bogus"], ["--json"]]))
+    elif fault == 27 and len(argv) > 1:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv, stdin
+
+
+def test_every_subcommand_is_fuzzed():
+    parser = build_parser()
+    (subcommands,) = [
+        action.choices
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert sorted(subcommands) == sorted(COMMANDS)
+
+
+@settings(max_examples=600)
+@given(invocations())
+def test_every_subcommand_keeps_the_contract(invocation):
+    argv, stdin = invocation
+    code, out, err = run_main(argv, stdin)
     assert code in (0, 1, 2)
     assert err == ""
     assert out.endswith("\n") and out.count("\n") == 1
