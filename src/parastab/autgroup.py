@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
-from .chamber import chamber_fingerprint
+from .chamber import chamber_fingerprint, fingerprint_floors
 from .errors import DomainError
 from .transform_group import (
     NumTransform,
-    apply_to_weights,
+    act_on_rows,
     reduce_dual_rank2,
 )
 from .weights_core import (
@@ -25,7 +26,9 @@ from .weights_core import (
     genus_bounds,
     is_degree_generic,
     is_generic,
+    level_denominator,
     normalize,
+    numerator_rows,
 )
 
 # below this genus the torsion lifts of distinct classes may coincide
@@ -113,13 +116,18 @@ def _degree_pinned(
 def _chamber_preserving(
     r: int, candidates: Iterable[NumTransform], w_from: WeightSystem, d_to: int, w_to: WeightSystem
 ) -> tuple[NumTransform, ...]:
-    """The candidates whose image of w_from has w_to's fingerprint at degree d_to."""
-    base = normalize(w_from)
-    ref = chamber_fingerprint(r, normalize(w_to), d_to)
+    """The candidates whose image of w_from has w_to's fingerprint at degree d_to.
+
+    Candidates act on integer rows over one common denominator, and each stops
+    at its first fingerprint value that differs.
+    """
+    ref = chamber_fingerprint(r, w_to, d_to)
+    q = level_denominator(w_from, w_to)
+    rows = numerator_rows(w_from, q)
     return tuple(
         cand
         for cand in candidates
-        if chamber_fingerprint(r, apply_to_weights(cand, base), d_to) == ref
+        if all(map(eq, ref, fingerprint_floors(act_on_rows(cand, rows, q), d_to, q)))
     )
 
 

@@ -10,15 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
+from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .weights_core import (
     ParabolicType,
     WeightSystem,
     level_denominator,
+    numerator_rows,
     owt,
+    row_levels,
     wall_levels,
 )
 
@@ -80,19 +83,25 @@ class ChamberInvariant:
         return (self.r, self.n, self.d) == (other.r, other.n, other.d)
 
 
-def chamber_fingerprint(r: int, w: WeightSystem, d: int) -> tuple[int, ...]:
-    """The extremal subdegrees ``chamber_invariant`` reports, from the wall levels.
+def fingerprint_floors(rows: Sequence[Sequence[int]], d: int, q: int) -> Iterator[int]:
+    """The fingerprint of the weights rows / q, lazily: floor((r'dq + L) / (rq)) per pattern.
 
-    floor((r'd + level) / r) per admissible pattern, on the integer levels
-    L = q * level.
+    L runs over the integer wall levels of the numerator rows, in canonical order.
     """
+    rq = len(rows[0]) * q
+    return chain.from_iterable(
+        ((rp * d * q + level) // rq for level in levels) for rp, _, levels in row_levels(rows)
+    )
+
+
+def chamber_fingerprint(r: int, w: WeightSystem, d: int) -> tuple[int, ...]:
+    """The extremal subdegrees ``chamber_invariant`` reports, from the wall levels."""
     if r < 2:
         raise DomainError("requires r >= 2 and n >= 1")
     if r != w.rank:
         raise DomainError("rank mismatch")
     q = level_denominator(w)
-    rq = r * q
-    return tuple((rp * d * q + level) // rq for rp, _, level in wall_levels(w, q))
+    return tuple(fingerprint_floors(numerator_rows(w, q), d, q))
 
 
 def chamber_invariant(r: int, w: WeightSystem, d: int) -> ChamberInvariant:

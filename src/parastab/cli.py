@@ -187,7 +187,7 @@ class Document:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -586,6 +586,8 @@ def _cmd_iso(args) -> dict:
         if not isinstance(raw, list):
             raise InputError("--perms must be a JSON list of perms")
         perms = [doc1.parse_perm(p) for p in raw]
+        if any(sorted(p) != list(range(len(p))) for p in perms):
+            raise InputError("curve isomorphism perms must permute 0..n-1")
     found = iso_transforms(
         doc1.r, doc1.weights.npoints, doc1.degree, doc1.weights, doc2.degree, doc2.weights,
         curve_iso=perms, strict=args.strict,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError
-from .weights_core import WeightSystem, normalize
+from .weights_core import WeightSystem, level_denominator, numerator_rows
 
 
 @dataclass(frozen=True)
@@ -76,33 +76,44 @@ def make_transform(
     )
 
 
+def act_on_rows(t: NumTransform, rows: Sequence[Sequence[int]], q: int) -> list[list[int]]:
+    """The action on weights scaled by q: ``rows[i]`` is q times point i's tuple.
+
+    A Hecke shift by h reads row[h:], then row[:h] raised by q, minus row[h];
+    the shifted row lands at position perm[i] and, when dualizing, becomes
+    top - a over the reversed row.  Every image row starts at 0, so the
+    output is normalized whether or not the input is.
+    """
+    out: list[list[int]] = [[]] * len(rows)
+    for row, h, image in zip(rows, t.hecke, t.perm):
+        base = row[h]
+        moved = [a - base for a in row[h:]] + [a + q - base for a in row[:h]]
+        if t.sign == -1:
+            top = moved[-1]
+            moved = [top - a for a in reversed(moved)]
+        out[image] = moved
+    return out
+
+
+def _act(t: NumTransform, w: WeightSystem) -> WeightSystem:
+    q = level_denominator(w)
+    rows = act_on_rows(t, numerator_rows(w, q), q)
+    weights = tuple(tuple(Fraction(a, q) for a in row) for row in rows)
+    return WeightSystem(rank=w.rank, points=w.points, weights=weights)
+
+
 def hecke_weights(w: WeightSystem, hecke: Sequence[int]) -> WeightSystem:
     """Shift each point's flag by its Hecke value; output starts at 0 by construction."""
-    r = w.rank
     if len(hecke) != w.npoints:
         raise DomainError("one Hecke value is required per point")
-    if any(not 0 <= h < r for h in hecke):
+    if any(not 0 <= h < w.rank for h in hecke):
         raise DomainError("Hecke values must satisfy 0 <= h < r")
-    new_rows = []
-    for tup, h in zip(w.weights, hecke):
-        base = tup[h]
-        row = []
-        for i in range(1, r + 1):
-            if i + h <= r:
-                row.append(tup[i + h - 1] - base)
-            else:
-                row.append(tup[i + h - r - 1] - base + 1)
-        new_rows.append(tuple(row))
-    return WeightSystem(rank=r, points=w.points, weights=tuple(new_rows))
+    return _act(NumTransform(tuple(range(w.npoints)), 1, 0, tuple(hecke)), w)
 
 
 def dual_weights(w: WeightSystem) -> WeightSystem:
     """Reverse-complement each tuple, then renormalize to start at 0."""
-    new_rows = []
-    for tup in w.weights:
-        top = tup[-1]
-        new_rows.append(tuple(top - a for a in reversed(tup)))
-    return WeightSystem(rank=w.rank, points=w.points, weights=tuple(new_rows))
+    return _act(NumTransform(tuple(range(w.npoints)), -1, 0, (0,) * w.npoints), w)
 
 
 def apply_to_weights(t: NumTransform, w: WeightSystem) -> WeightSystem:
@@ -111,14 +122,7 @@ def apply_to_weights(t: NumTransform, w: WeightSystem) -> WeightSystem:
         raise DomainError("transform and weight system disagree on point count")
     if any(h >= w.rank for h in t.hecke):
         raise DomainError("transform is not in canonical form for this rank")
-    moved = hecke_weights(normalize(w), t.hecke)
-    rows: list[tuple[Fraction, ...]] = [()] * w.npoints
-    for i in range(w.npoints):
-        rows[t.perm[i]] = moved.weights[i]
-    out = WeightSystem(rank=w.rank, points=w.points, weights=tuple(rows))
-    if t.sign == -1:
-        out = dual_weights(out)
-    return normalize(out)
+    return _act(t, w)
 
 
 def apply_to_degree(t: NumTransform, d: int, r: int) -> int:

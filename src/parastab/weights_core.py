@@ -267,6 +267,33 @@ def level_denominator(*systems: WeightSystem) -> int:
     return lcm(*(a.denominator for w in systems for tup in w.weights for a in tup))
 
 
+def numerator_rows(w: WeightSystem, q: int) -> list[list[int]]:
+    """q times each weight, one integer row per point (q a multiple of its denominators)."""
+    return [[a.numerator * (q // a.denominator) for a in tup] for tup in w.weights]
+
+
+def row_levels(
+    rows: Sequence[Sequence[int]],
+) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], Iterator[int]]]:
+    """Per subrank r' = 1..r-1: (r', the 1-based picks, the lazy integer levels).
+
+    The levels run over one pick per point in lexicographic order; each is
+    r' * (sum of all entries) - r * (sum of picked entries), so on
+    ``numerator_rows(w, q)`` it is q times the rational wall level.
+    """
+    r = len(rows[0])
+    total = sum(map(sum, rows))
+
+    def block(rp: int) -> tuple[int, tuple[tuple[int, ...], ...], Iterator[int]]:
+        picks = tuple(combinations(range(1, r + 1), rp))
+        # the level is additive over points: one picked-sum table per point
+        picked = [[r * sum(row[i - 1] for i in c) for c in picks] for row in rows]
+        return rp, picks, map((rp * total).__sub__, map(sum, product(*picked)))
+
+    # a lazy map, so each subrank's tables are built only when reached
+    return map(block, range(1, r))
+
+
 def wall_levels(
     w: WeightSystem, q: int
 ) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], int]]:
@@ -277,16 +304,9 @@ def wall_levels(
     wall exactly when q divides L.  Patterns run by subrank, then by the
     per-point 1-based picks in lexicographic order, as in ``admissible_types``.
     """
-    r = w.rank
-    nums = [[a.numerator * (q // a.denominator) for a in tup] for tup in w.weights]
-    total = sum(map(sum, nums))
-    for rp in range(1, r):
-        picks = tuple(combinations(range(1, r + 1), rp))
-        # the level is additive over points: one picked-sum table per point
-        picked = [[r * sum(row[i - 1] for i in c) for c in picks] for row in nums]
-        base = rp * total
-        for combo, sums in zip(product(picks, repeat=w.npoints), product(*picked)):
-            yield rp, combo, base - sum(sums)
+    for rp, picks, levels in row_levels(numerator_rows(w, q)):
+        for combo, level in zip(product(picks, repeat=w.npoints), levels):
+            yield rp, combo, level
 
 
 def wall_values(

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 
@@ -16,6 +18,10 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+# the CLI tests start child interpreters; they import the package from src/ too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 # Denominators chosen as prime powers so random accumulated sums rarely
 # collapse to integers; genericity rejection loops terminate quickly.

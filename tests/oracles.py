@@ -23,7 +23,6 @@ from parastab import (
     WeightSystem,
     admissible_types,
     apply_to_degree,
-    apply_to_weights,
     is_parabolic,
     max_subdegree,
     normalize,
@@ -191,6 +190,51 @@ def walls_crossed(r, w1, w2, d, relevant_only=True) -> tuple[Wall, ...]:
             m += 1
     walls.sort(key=lambda wall: (wall.subrank, wall.pattern, wall.m))
     return tuple(walls)
+
+
+def hecke_weights(w: WeightSystem, hecke) -> WeightSystem:
+    """Shift each point's flag by its Hecke value, one Fraction entry at a time."""
+    r = w.rank
+    if len(hecke) != w.npoints:
+        raise DomainError("one Hecke value is required per point")
+    if any(not 0 <= h < r for h in hecke):
+        raise DomainError("Hecke values must satisfy 0 <= h < r")
+    new_rows = []
+    for tup, h in zip(w.weights, hecke):
+        base = tup[h]
+        row = []
+        for i in range(1, r + 1):
+            if i + h <= r:
+                row.append(tup[i + h - 1] - base)
+            else:
+                row.append(tup[i + h - r - 1] - base + 1)
+        new_rows.append(tuple(row))
+    return WeightSystem(rank=r, points=w.points, weights=tuple(new_rows))
+
+
+def dual_weights(w: WeightSystem) -> WeightSystem:
+    """Reverse-complement each tuple over Fractions."""
+    new_rows = []
+    for tup in w.weights:
+        top = tup[-1]
+        new_rows.append(tuple(top - a for a in reversed(tup)))
+    return WeightSystem(rank=w.rank, points=w.points, weights=tuple(new_rows))
+
+
+def apply_to_weights(t: NumTransform, w: WeightSystem) -> WeightSystem:
+    """Normalize, Hecke-shift, relabel, dualize and normalize, each a validated WeightSystem."""
+    if t.npoints != w.npoints:
+        raise DomainError("transform and weight system disagree on point count")
+    if any(h >= w.rank for h in t.hecke):
+        raise DomainError("transform is not in canonical form for this rank")
+    moved = hecke_weights(normalize(w), t.hecke)
+    rows: list[tuple[Fraction, ...]] = [()] * w.npoints
+    for i in range(w.npoints):
+        rows[t.perm[i]] = moved.weights[i]
+    out = WeightSystem(rank=w.rank, points=w.points, weights=tuple(rows))
+    if t.sign == -1:
+        out = dual_weights(out)
+    return normalize(out)
 
 
 def automorphism_classes(r, n, d, w, perms) -> tuple[NumTransform, ...]:

@@ -262,6 +262,21 @@ def test_iso_self(tmp_path):
     assert payload["degree_from"] == payload["degree_to"] == -1
 
 
+@pytest.mark.parametrize("perms", ["[[0,0]]", "[[0,5]]", '[["y","y"]]', "[[1,0],[0,-1]]"])
+def test_iso_perms_must_be_permutations(tmp_path, perms):
+    path = write_doc(tmp_path, "doc.json", RANK2_DOC)
+    proc = run_cli("iso", path, path, "--perms", perms)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "input",
+        "message": "curve isomorphism perms must permute 0..n-1",
+    }
+    code, payload = run_json("iso", path, path, "--perms", '[["y","x"]]')
+    assert code == 0
+    assert payload["count"] == len(payload["transforms"])
+
+
 def test_matrix_xi():
     code, payload = run_json("matrix-xi", "--n", "2")
     assert code == 0
@@ -417,6 +432,17 @@ def test_other_input_errors(tmp_path):
     no_genus = run_cli("aut", "--json", stdin=json.dumps(doc))
     assert no_genus.returncode == 2
     assert json.loads(no_genus.stdout)["error"]["kind"] == "input"
+
+
+def test_non_utf8_document_is_an_input_error(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    proc = run_cli("normalize", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    error = json.loads(proc.stdout)["error"]
+    assert error["kind"] == "input"
+    assert error["message"].startswith(f"cannot read {path}: ")
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,14 @@
-"""The integer wall-level kernel against the per-pattern Fraction path.
+"""The integer wall-level kernel and row action against the Fraction paths.
 
 Weights are drawn with small, mixed denominators so that many inputs sit
 exactly on a wall; the explicit examples pin a few on-wall and off-wall
-cases.
+cases, and ``iso`` pairs whose common denominator is neither system's own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,16 +18,23 @@ import oracles
 from parastab import (
     CurveData,
     DomainError,
+    NumTransform,
+    act_on_rows,
     apply_to_degree,
+    apply_to_weights,
     automorphism_group,
     candidate_transforms,
     chamber_fingerprint,
     chamber_invariant,
     count_admissible,
+    dual_weights,
+    hecke_weights,
     is_degree_generic,
     is_generic,
     iso_transforms,
     level_denominator,
+    numerator_rows,
+    reduce_dual_rank2,
     wall_levels,
     wall_values,
     walls_crossed,
@@ -181,3 +189,61 @@ def test_iso_transforms_matches_old_loop(case):
     self_map = iso_transforms(r, n, d1, w1, d1, w1, curve_iso=perms[1:])
     curve = CurveData(genus=0, points=w1.points, symmetries=tuple((p, 1) for p in perms))
     assert self_map == automorphism_group(r, n, d1, 0, w1, curve).classes
+
+
+@settings(max_examples=25)
+@given(
+    st.sampled_from(SHAPES + [(5, 4)]).flatmap(
+        lambda s: st.tuples(weights(*s), st.permutations(range(s[1])), st.integers(1, 4))
+    )
+)
+@example((MIXED, [1, 0], 3))
+@example((RANK3, [0], 1))
+def test_row_action_matches_fraction_oracle(case):
+    """Every sign and Hecke vector, over the system's own and a larger denominator."""
+    w, perm, k = case
+    r, n = w.rank, w.npoints
+    q = level_denominator(w)
+    rows, wide = numerator_rows(w, q), numerator_rows(w, k * q)
+    assert dual_weights(w) == oracles.dual_weights(w)
+    for hecke in product(range(r), repeat=n):
+        assert hecke_weights(w, hecke) == oracles.hecke_weights(w, hecke)
+        for sign in (1, -1):
+            t = NumTransform(tuple(perm), sign, 0, hecke)
+            old = oracles.apply_to_weights(t, w)
+            assert apply_to_weights(t, w) == old
+            assert act_on_rows(t, rows, q) == numerator_rows(old, q)
+            assert act_on_rows(t, wide, k * q) == numerator_rows(old, k * q)
+
+
+# 40 and 63 are the systems' own denominators; the filter works over 2520
+ISO_FROM = weight_system([[F(1, 8), F(3, 8), F(7, 8)], [F(1, 5), F(2, 5), F(4, 5)]])
+ISO_TO = weight_system([[F(0), F(2, 9), F(7, 9)], [F(1, 7), F(4, 7), F(5, 7)]])
+
+
+def test_iso_over_a_common_denominator_and_two_degrees():
+    q = level_denominator(ISO_FROM, ISO_TO)
+    assert q not in (level_denominator(ISO_FROM), level_denominator(ISO_TO))
+    found = iso_transforms(3, 2, 1, ISO_FROM, -3, ISO_TO, curve_iso=[(1, 0)])
+    assert found == (
+        NumTransform((0, 1), -1, 1, (1, 0)),
+        NumTransform((1, 0), -1, 2, (2, 2)),
+    )
+    assert found == oracles.iso_classes(3, 2, 1, ISO_FROM, -3, ISO_TO, [(0, 1), (1, 0)])
+    assert iso_transforms(3, 2, 1, ISO_FROM, 1, ISO_TO, curve_iso=[(1, 0)]) == ()
+    mixed_to = weight_system([[F(1, 9), F(5, 9)], [F(2, 7), F(3, 7)]])
+    found2 = iso_transforms(2, 2, 0, MIXED, 1, mixed_to, curve_iso=[(1, 0)])
+    assert found2 == (NumTransform((0, 1), 1, 1, (1, 0)), NumTransform((1, 0), 1, 1, (1, 0)))
+    assert found2 == oracles.iso_classes(2, 2, 0, MIXED, 1, mixed_to, [(0, 1), (1, 0)])
+
+
+def test_iso_rank2_dual_folds_onto_a_twist():
+    """At rank 2 the plain dual is listed as its non-dualizing representative."""
+    dual = dual_weights(MIXED)
+    found = iso_transforms(2, 2, 1, MIXED, -1, dual)
+    assert found == oracles.iso_classes(2, 2, 1, MIXED, -1, dual, [(0, 1)])
+    assert all(t.sign == 1 for t in found)
+    plain_dual = NumTransform((0, 1), -1, 0, (0, 0))
+    assert apply_to_weights(plain_dual, MIXED) == dual
+    assert reduce_dual_rank2(plain_dual, 1) == NumTransform((0, 1), 1, -1, (0, 0))
+    assert found == (NumTransform((0, 1), 1, -1, (0, 0)), NumTransform((0, 1), 1, 0, (1, 1)))
