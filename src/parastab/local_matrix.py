@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import lcm
+from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import DomainError, PrecisionError
@@ -369,28 +371,62 @@ class LaurentMatrix:
         Cayley-Hamilton then gives adj(A) = (-1)^(n+1) (A^(n-1) + c_1 A^(n-2)
         + ... + c_(n-1) I) by Horner's rule.  O(n^4) ring operations and no
         division, so singular matrices need no separate path.
+
+        The ring operations run on Python ints (Kronecker substitution).
+        With den the lcm of all coefficient denominators and m the least
+        exponent, each entry becomes P = z^(-m) * den * A, a polynomial
+        with integer coefficients, evaluated at z = 2^B.  Evaluation is a
+        ring map, so the recursion yields det(P) and adj(P) at 2^B, and
+        det(A) = z^(nm) det(P) / den^n, adj(A) = z^((n-1)m) adj(P) / den^(n-1).
+        Only the final coefficients need to fit a balanced base-2^B digit:
+        each is bounded by prod_i max(1, sum_j |P_ij|_1) (a permanent of
+        1-norms bounds every minor), and B is two bits above that bound,
+        rounded up to whole bytes.  When n * span * B exceeds
+        _PACK_LIMIT_BITS (a sparse entry such as z^(10^6)), the same
+        recursion runs on the Laurent entries instead.
         """
         if self.nrows != self.ncols:
             raise DomainError("determinant and adjugate need a square matrix")
         n, rows = self.nrows, self.rows
-        poly = [L_ONE]
-        for k in range(n - 1, -1, -1):
-            below = [row[k + 1:] for row in rows[k + 1:]]
-            vec = [row[k] for row in rows[k + 1:]]
-            col = [L_ONE, -rows[k][k]]
-            for step in range(n - k - 1):
-                if step:
-                    vec = [_dot(row, vec) for row in below]
-                col.append(-_dot(rows[k][k + 1:], vec))
-            poly = [_dot(col[i::-1], poly[: i + 1]) for i in range(len(poly) + 1)]
-        q = LaurentMatrix.identity(n)
-        for c in poly[1:n]:
-            q = q @ self + LaurentMatrix.build(
-                [[c if i == j else 0 for j in range(n)] for i in range(n)]
-            )
-        if n % 2:
-            return -poly[n], q
-        return poly[n], LaurentMatrix.build([[-v for v in row] for row in q.rows])
+        packing = _packing(rows)
+        if packing is None:
+            det, adj = _berkowitz(rows, L_ONE, L_ZERO, _dot)
+            return det, LaurentMatrix(tuple(map(tuple, adj)))
+        den, low, width = packing
+        ints = [[_pack(e, den, low, width) for e in row] for row in rows]
+        det, adj = _berkowitz(ints, 1, 0, _int_dot)
+        scale, shift = den ** (n - 1), (n - 1) * low
+        return _unpack(det, width, scale * den, shift + low), LaurentMatrix(
+            tuple(tuple(_unpack(v, width, scale, shift) for v in row) for row in adj)
+        )
+
+
+def _berkowitz(rows, one, zero, dot) -> tuple:
+    """Determinant and adjugate rows over any commutative ring (see det_adjugate).
+
+    ``dot`` sums pairwise products; ``one`` and ``zero`` are the ring's
+    multiplicative and additive identities.
+    """
+    n = len(rows)
+    poly = [one]
+    for k in range(n - 1, -1, -1):
+        below = [row[k + 1:] for row in rows[k + 1:]]
+        vec = [row[k] for row in rows[k + 1:]]
+        col = [one, -rows[k][k]]
+        for step in range(n - k - 1):
+            if step:
+                vec = [dot(row, vec) for row in below]
+            col.append(-dot(rows[k][k + 1:], vec))
+        poly = [dot(col[i::-1], poly[: i + 1]) for i in range(len(poly) + 1)]
+    cols = list(zip(*rows))
+    q = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for c in poly[1:n]:
+        q = [[dot(row, col) for col in cols] for row in q]
+        for i in range(n):
+            q[i][i] = q[i][i] + c
+    if n % 2:
+        return -poly[n], q
+    return poly[n], [[-v for v in row] for row in q]
 
 
 def _dot(xs: Sequence[Laurent], ys: Sequence[Laurent]) -> Laurent:
@@ -402,6 +438,68 @@ def _dot(xs: Sequence[Laurent], ys: Sequence[Laurent]) -> Laurent:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
     return Laurent(out)
+
+
+def _int_dot(xs: Sequence[int], ys: Sequence[int]) -> int:
+    return sum(map(mul, xs, ys))
+
+
+# A packed int is about n * span * B bits long however sparse the entries
+# are, so an entry like z^(10^6) would cost megabytes per int; past this
+# size the recursion runs on the Laurent entries, whose cost follows the
+# number of terms instead.
+_PACK_LIMIT_BITS = 1 << 16
+
+
+def _packing(
+    rows: Sequence[Sequence[Laurent]],
+) -> Optional[tuple[int, int, int]]:
+    """(den, least exponent, digit width B) for packing, or None when too wide."""
+    entries = [e.coeffs for row in rows for e in row if e.coeffs]
+    if not entries:
+        return 1, 0, 8
+    den = lcm(*(c.denominator for coeffs in entries for c in coeffs.values()))
+    low = min(min(coeffs) for coeffs in entries)
+    span = max(max(coeffs) for coeffs in entries) - low + 1
+    bound = 1
+    for row in rows:
+        norm = sum(
+            abs(c.numerator) * (den // c.denominator) for e in row for c in e.coeffs.values()
+        )
+        bound *= max(1, norm)
+    width = (bound.bit_length() + 9) // 8 * 8
+    if len(rows) * span * width > _PACK_LIMIT_BITS:
+        return None
+    return den, low, width
+
+
+def _pack(entry: Laurent, den: int, low: int, width: int) -> int:
+    """z^(-low) * den * entry evaluated at z = 2^width."""
+    return sum(
+        c.numerator * (den // c.denominator) << width * (e - low)
+        for e, c in entry.coeffs.items()
+    )
+
+
+def _unpack(value: int, width: int, scale: int, shift: int) -> Laurent:
+    """z^shift / scale times the polynomial whose balanced base-2^width digits form ``value``.
+
+    Adding 2^(width-1) to every digit makes all digits nonnegative without
+    a carry, so one ``to_bytes`` reads them all in linear time.  Every
+    digit is below 2^(width - 2) in size, so the top nonzero one sits at
+    index bit_length // width or below.
+    """
+    size = width // 8
+    digits = abs(value).bit_length() // width + 1
+    half = 1 << (width - 1)
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * digits, "little")
+    raw = (value + offset).to_bytes(digits * size, "little")
+    coeffs = {}
+    for k in range(digits):
+        c = int.from_bytes(raw[k * size:(k + 1) * size], "little") - half
+        if c:
+            coeffs[k + shift] = Fraction(c, scale)
+    return Laurent(coeffs)
 
 
 def inverse_exact(m: LaurentMatrix) -> LaurentMatrix:
@@ -692,6 +790,18 @@ def hecke_conjugation_check(a: LaurentMatrix, precision: int = 24) -> HeckeRepor
     Reports integrality of the twisted conjugation matrix of (a, a^{-1}),
     the determinant valuation and its residue k modulo n, and the offending
     positions (row, column, exponent) when integrality fails.
+
+    Entry ((x, y), (c, d)) of that matrix is a[x][c] * inv[d][y] *
+    z^([d<c] - [y<x]), and only its valuation matters.  With v = val(det),
+    inv[d][y] = adj[d][y] * z^(-v) * u^(-1) for a power series u with
+    nonzero constant term, so it has valuation val(adj[d][y]) - v.  The
+    Laurent series ring is a domain: the entry is nonzero exactly when both
+    factors are, with valuation val(a[x][c]) + val(adj[d][y]) - v + [d<c]
+    - [y<x], and it is an offender when that is negative.  No inverse or
+    conjugation matrix is built.  A non-monomial determinant still has its
+    inverse declared known only below ``precision``, so every entry must
+    be certified at its negative exponents, in (c, d, x, y) order, or
+    PrecisionError names the first bound that fails.
     """
     n = a.nrows
     if a.ncols != n:
@@ -702,28 +812,23 @@ def hecke_conjugation_check(a: LaurentMatrix, precision: int = 24) -> HeckeRepor
     if det.is_zero():
         raise DomainError("matrix is singular")
     v = det.valuation()
-    # Every twist shift is at least -1, so inverse terms at exponents
-    # >= 1 - min val(a) land at exponents >= 0 and cannot break integrality.
-    cut = 1 - min(e.valuation() for row in a.rows for e in row if e.coeffs)
-    if det.is_monomial():
-        inv = inverse_exact(a).rows
-    else:
-        # Entry ((x, y), (c, d)) is a[x][c] * inv[d][y] * z^([d<c] - [y<x]), and
-        # inv[d][y] is declared known below precision + val(adj[d][y]) - v.
-        # Certifying in (c, d, x, y) order names the first uncertified bound.
+    val_a = [[e.valuation() for e in row] for row in a.rows]
+    val_inv = [[None if e.is_zero() else e.valuation() - v for e in row] for row in adj.rows]
+
+    def valuation(x: int, y: int, c: int, d: int) -> Optional[int]:
+        if val_a[x][c] is None or val_inv[d][y] is None:
+            return None
+        return val_a[x][c] + val_inv[d][y] + (d < c) - (y < x)
+
+    if not det.is_monomial():
         for c, d, x, y in product(range(n), repeat=4):
-            ax, jd = a.rows[x][c], adj.rows[d][y]
-            if ax.coeffs and jd.coeffs:
-                shift = (d < c) - (y < x)
-                _certify(precision + jd.valuation() - v + ax.valuation() + shift)
-        needed = cut + v - min(e.valuation() for row in adj.rows for e in row if e.coeffs)
-        inv = [[t.known for t in row] for row in inverse_series(a, min(precision, needed))]
-    low = LaurentMatrix.build([[e.truncated(cut) for e in row] for row in inv])
+            e = valuation(x, y, c, d)
+            if e is not None:
+                _certify(precision + e)
     offenders = tuple(
-        (p, q, e.valuation())
-        for p, row in enumerate(mp_closed_form(a, low).rows)
-        for q, e in enumerate(row)
-        if e.coeffs and e.valuation() < 0
+        (tau(n, x, y), tau(n, c, d), e)
+        for x, y, c, d in product(range(n), repeat=4)
+        if (e := valuation(x, y, c, d)) is not None and e < 0
     )
     return HeckeReport(
         n=n,

@@ -30,7 +30,7 @@ from parastab import (
     reduce_dual_rank2,
     twist,
 )
-from parastab.local_matrix import L_ONE, L_ZERO, series_inverse, tau
+from parastab.local_matrix import L_ONE, L_ZERO, _dot, series_inverse, tau
 
 
 def det(m: LaurentMatrix) -> Laurent:
@@ -73,6 +73,34 @@ def adjugate(m: LaurentMatrix) -> LaurentMatrix:
         return LaurentMatrix(((L_ONE,),))
     cof = [[det(minor(m, i, j)).scale((-1) ** (i + j)) for j in range(n)] for i in range(n)]
     return LaurentMatrix(tuple(tuple(cof[j][i] for j in range(n)) for i in range(n)))
+
+
+def berkowitz_det_adjugate(m: LaurentMatrix) -> tuple[Laurent, LaurentMatrix]:
+    """Berkowitz plus Cayley-Hamilton directly on Fraction coefficient maps.
+
+    The characteristic polynomial is built from the bottom-right corner up,
+    and Horner's rule on it gives the adjugate; every ring operation is a
+    Laurent product, O(n^4) of them.
+    """
+    if m.nrows != m.ncols:
+        raise DomainError("determinant and adjugate need a square matrix")
+    n, rows = m.nrows, m.rows
+    poly = [L_ONE]
+    for k in range(n - 1, -1, -1):
+        below = [row[k + 1:] for row in rows[k + 1:]]
+        vec = [row[k] for row in rows[k + 1:]]
+        col = [L_ONE, -rows[k][k]]
+        for step in range(n - k - 1):
+            if step:
+                vec = [_dot(row, vec) for row in below]
+            col.append(-_dot(rows[k][k + 1:], vec))
+        poly = [_dot(col[i::-1], poly[: i + 1]) for i in range(len(poly) + 1)]
+    q = LaurentMatrix.identity(n)
+    for c in poly[1:n]:
+        q = q @ m + LaurentMatrix.build([[c if i == j else 0 for j in range(n)] for i in range(n)])
+    if n % 2:
+        return -poly[n], q
+    return poly[n], LaurentMatrix.build([[-v for v in row] for row in q.rows])
 
 
 def hecke_conjugation_check(a: LaurentMatrix, precision: int = 24) -> HeckeReport:

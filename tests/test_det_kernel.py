@@ -1,15 +1,22 @@
-"""Division-free det/adjugate and the Hecke check against the old paths.
+"""Packed det/adjugate and the valuation Hecke check against the old paths.
 
-The oracles are the Leibniz determinant, the cofactor adjugate and the
-entry-by-entry Hecke check over truncated series.  Matrices mix negative
-exponents, zero entries and rows that are Laurent multiples of row 0, so
-singular and rank-deficient cases (adjugate zero below rank n - 1) occur
-often.
+The oracles are the Fraction Berkowitz kernel, the Leibniz determinant, the
+cofactor adjugate and the entry-by-entry Hecke check over truncated series.
+Matrices mix negative exponents, zero entries, zero rows and rows that are
+Laurent multiples of row 0, so singular and rank-deficient cases (adjugate
+zero below rank n - 1) occur often.  Coefficients near +-2^64 over the
+coprime denominators 7, 11 and 13, with mixed signs, make the packed digit
+width and the balanced-digit borrows do real work.
 """
 
 from __future__ import annotations
 
+import json
+import sys
+import time
+from contextlib import redirect_stdout
 from fractions import Fraction
+from io import StringIO
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,24 +31,72 @@ from parastab import (
     h_matrix,
     hecke_conjugation_check,
 )
+from parastab.cli import main
 from parastab.local_matrix import L_ZERO
 
+WIDE = st.builds(
+    lambda sign, num, den: Fraction(sign * num, den),
+    st.sampled_from([1, -1]),
+    st.integers(2**64 - 3, 2**64 + 3),
+    st.sampled_from([7, 11, 13]),
+)
 COEFFS = st.sampled_from([Fraction(c) for c in (1, -1, 2, -3, "1/2", "-2/3")])
 
 
-def laurents(lo: int, hi: int):
-    return st.dictionaries(st.integers(lo, hi), COEFFS, max_size=3).map(Laurent)
+def laurents(lo: int, hi: int, coeffs=COEFFS):
+    return st.dictionaries(st.integers(lo, hi), coeffs, max_size=3).map(Laurent)
 
 
 @st.composite
 def matrices(draw, max_size: int):
     n = draw(st.integers(1, max_size))
     lo = draw(st.integers(-2, 0))
-    rows = [[draw(laurents(lo, lo + 2)) for _ in range(n)] for _ in range(n)]
+    coeffs = COEFFS | WIDE if draw(st.booleans()) else COEFFS
+    rows = [[draw(laurents(lo, lo + 2, coeffs)) for _ in range(n)] for _ in range(n)]
     for i in range(1, draw(st.integers(0, n - 1)) + 1):
         factor = draw(laurents(-1, 1))
         rows[i] = [factor * v for v in rows[0]]
+    if draw(st.integers(0, 9)) == 0:
+        rows[draw(st.integers(0, n - 1))] = [L_ZERO] * n
     return LaurentMatrix.build(rows)
+
+
+def unitriangular(n: int, entries: dict) -> LaurentMatrix:
+    return LaurentMatrix.build(
+        [[1 if i == j else entries.get((i, j), 0) for j in range(n)] for i in range(n)]
+    )
+
+
+def diagonal(*entries) -> LaurentMatrix:
+    n = len(entries)
+    return LaurentMatrix.build([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+Z = Laurent.z()
+# Benchmark-sized inputs: a monomial determinant (powers of the shift
+# matrix, with offenders once a column is scaled by z^-1) and a determinant
+# z^v (1 + c z) that takes the series path, with offenders.
+H5_SCALED = h_matrix(5).power(7) @ diagonal(Laurent.z(-1), 1, 1, 1, 1)
+SERIES5 = (
+    unitriangular(
+        5, {(0, 2): Laurent.z(-1), (1, 3): Laurent({0: 1, 1: 2}), (3, 4): Laurent.z(-1, 3)}
+    )
+    @ diagonal(Laurent({0: 1, 1: 3}), Z, 1, Z, 1)
+    @ unitriangular(5, {(i + 1, i): Z for i in range(4)})
+)
+SERIES6 = (
+    unitriangular(6, {(0, 1): 2, (2, 4): Z})
+    @ diagonal(Laurent({0: 1, 1: -2}), 1, Z, 1, 1, Z)
+    @ unitriangular(6, {(i + 1, i): Z for i in range(5)})
+)
+# Exponent spans far past the packing limit: the Laurent-entry fallback.
+WIDE_SPAN = LaurentMatrix.build(
+    [
+        [Laurent.z(10**6), 1, 0],
+        [2, Laurent.z(-3), Fraction(1, 7)],
+        [0, Laurent({0: 1, 1: 1}), Laurent.z(10**9, -5)],
+    ]
+)
 
 
 def outcome(check, a: LaurentMatrix, precision: int):
@@ -52,14 +107,18 @@ def outcome(check, a: LaurentMatrix, precision: int):
 
 
 @settings(max_examples=80)
-@given(matrices(5))
+@given(matrices(6))
 @example(LaurentMatrix.build([[L_ZERO]]))
 @example(LaurentMatrix.build([[0, 0], [0, 0]]))
 @example(h_matrix(5))
+@example(WIDE_SPAN)
 def test_det_and_adjugate_match_leibniz(m):
+    """Equal to the Fraction Berkowitz kernel up to n = 6, and to Leibniz up to 5."""
     det, adj = m.det(), m.adjugate()
-    assert det == oracles.det(m)
-    assert adj == oracles.adjugate(m)
+    assert (det, adj) == oracles.berkowitz_det_adjugate(m)
+    if m.nrows <= 5:
+        assert det == oracles.det(m)
+        assert adj == oracles.adjugate(m)
     n = m.nrows
     scalar = LaurentMatrix.build([[det if i == j else 0 for j in range(n)] for i in range(n)])
     assert m @ adj == scalar
@@ -78,6 +137,11 @@ def test_det_and_adjugate_need_a_square_matrix():
 @example(h_matrix(3), 1)
 @example(LaurentMatrix.build([[Laurent.z(), L_ZERO], [L_ZERO, Laurent({0: 1, 1: -1})]]), 1)
 @example(LaurentMatrix.build([[Laurent.z(), L_ZERO], [L_ZERO, Laurent({0: 1, 1: -1})]]), 8)
+@example(h_matrix(6).power(4), 1)
+@example(H5_SCALED, 2)
+@example(SERIES5, 8)
+@example(SERIES5, 1)
+@example(SERIES6, 4)
 def test_hecke_check_matches_loop_oracle(a, precision):
     assert outcome(hecke_conjugation_check, a, precision) == outcome(
         oracles.hecke_conjugation_check, a, precision
@@ -116,3 +180,40 @@ def test_hecke_check_rejects_nonpositive_precision(a, precision):
         hecke_conjugation_check(a, precision)
     assert not isinstance(info.value, PrecisionError)
     assert str(info.value) == "precision must be positive"
+
+
+@pytest.mark.parametrize("exp", [10**6, 10**9])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        lambda e: [[1, Laurent.z(e)], [0, Laurent({0: 1, 1: 1})]],
+        lambda e: [[1, Laurent.z(-e)], [Laurent.z(e, 3), Laurent({0: 1, 1: 1})]],
+        lambda e: [[Laurent.z(-e), Laurent.z(e)], [0, Laurent.z(3)]],
+    ],
+    ids=["integral", "precision", "offenders"],
+)
+def test_wide_exponent_spans_stay_fast(exp, rows):
+    """Sparse entries with huge exponents never become huge packed ints."""
+    a = LaurentMatrix.build(rows(exp))
+    expected = outcome(oracles.hecke_conjugation_check, a, 24)
+    start = time.perf_counter()
+    assert outcome(hecke_conjugation_check, a, 24) == expected
+    assert time.perf_counter() - start < 1.0
+    doc = [[{str(e): str(c) for e, c in v.coeffs.items()} for v in row] for row in a.rows]
+    out, saved = StringIO(), sys.stdin
+    sys.stdin = StringIO(json.dumps(doc))
+    try:
+        with redirect_stdout(out):
+            code = main(["matrix-hecke", "--json"])
+    finally:
+        sys.stdin = saved
+    payload = json.loads(out.getvalue())
+    if isinstance(expected, tuple):
+        assert code == 1
+        assert payload["error"]["message"] == expected[1]
+    else:
+        assert code == 0
+        assert payload == {
+            **vars(expected),
+            "offenders": [list(o) for o in expected.offenders],
+        }
