@@ -10,35 +10,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations, compress, product
 from math import comb
+from operator import ne
 from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .weights_core import (
     ParabolicType,
     WeightSystem,
+    first_on_wall,
     level_denominator,
     numerator_rows,
     owt,
+    pattern_at,
     row_levels,
-    wall_levels,
 )
+
+
+def admissible_rows(r: int, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The 0/1 rows of every proper pattern, lazily, in the order of ``admissible_types``.
+
+    Per subrank r', one 0/1 row per pick of ``row_levels`` and their n-fold
+    product, so no pattern is built or validated as a ``ParabolicType``.
+    """
+    if r < 2 or n < 1:
+        raise DomainError("requires r >= 2 and n >= 1")
+
+    def block(rp: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        rows = [
+            tuple(1 if i in picked else 0 for i in range(1, r + 1))
+            for picked in combinations(range(1, r + 1), rp)
+        ]
+        return product(rows, repeat=n)
+
+    return chain.from_iterable(map(block, range(1, r)))
 
 
 def admissible_types(r: int, n: int) -> tuple[ParabolicType, ...]:
     """All proper patterns, ordered by subrank then per-point index picks."""
-    if r < 2 or n < 1:
-        raise DomainError("requires r >= 2 and n >= 1")
-    out = []
-    for rp in range(1, r):
-        rows = [
-            tuple(1 if i in picked else 0 for i in range(r))
-            for picked in (set(c) for c in combinations(range(r), rp))
-        ]
-        for combo in product(rows, repeat=n):
-            out.append(ParabolicType(combo))
-    return tuple(out)
+    return tuple(map(ParabolicType, admissible_rows(r, n)))
 
 
 def count_admissible(r: int, n: int) -> int:
@@ -90,7 +101,8 @@ def fingerprint_floors(rows: Sequence[Sequence[int]], d: int, q: int) -> Iterato
     """
     rq = len(rows[0]) * q
     return chain.from_iterable(
-        ((rp * d * q + level) // rq for level in levels) for rp, _, levels in row_levels(rows)
+        map(rq.__rfloordiv__, map((rp * d * q).__add__, levels))
+        for rp, _, levels in row_levels(rows)
     )
 
 
@@ -138,26 +150,48 @@ def walls_crossed(
     A level m is relevant for degree d when m + r'*d is divisible by r; only
     those walls change the chamber invariant.  Raises when an endpoint sits
     exactly on a scanned wall, since sidedness is then undefined.
+
+    One pass per subrank: each system's levels are read once, the endpoints
+    are tested for a scanned wall by ``first_on_wall``, and picks are built
+    only for the patterns whose floors differ, since only those can have an
+    integer strictly between their two levels.
     """
     if w1.rank != w2.rank or w1.npoints != w2.npoints:
         raise DomainError("weight systems must share rank and point count")
     if w1.rank != r:
         raise DomainError("rank mismatch")
-    walls = []
+    n = w1.npoints
+    scanned = d if relevant_only else None
     q = level_denominator(w1, w2)
-    for (rp, combo, l1), (_, _, l2) in zip(wall_levels(w1, q), wall_levels(w2, q)):
-        for label, level in (("first", l1), ("second", l2)):
-            if level % q == 0:
-                m = level // q
-                if not relevant_only or (m + rp * d) % r == 0:
-                    raise DomainError(
-                        f"{label} weight system lies on wall "
-                        f"(subrank {rp}, picks {combo}, level {m})"
-                    )
-        lo, hi = sorted((l1, l2))
-        # integers m with lo < m*q < hi, in increasing order
-        for m in range(lo // q + 1, (hi - 1) // q + 1):
-            relevant = (m + rp * d) % r == 0
-            if relevant or not relevant_only:
-                walls.append(Wall(subrank=rp, pattern=combo, m=m, relevant=relevant))
+    walls = []
+    blocks = zip(row_levels(numerator_rows(w1, q)), row_levels(numerator_rows(w2, q)))
+    for (rp, picks, levels1), (_, _, levels2) in blocks:
+        levels1, levels2 = list(levels1), list(levels2)
+        hits = []
+        for label, levels in (("first", levels1), ("second", levels2)):
+            hit = first_on_wall(levels, rp, r, q, scanned)
+            if hit is not None:
+                hits.append((hit[0], label, hit[1]))
+        if hits:
+            # the earliest pattern; on a tie "first" sorts before "second"
+            index, label, level = min(hits)
+            raise DomainError(
+                f"{label} weight system lies on wall "
+                f"(subrank {rp}, picks {pattern_at(picks, n, index)}, level {level // q})"
+            )
+        differ = list(map(ne, map(q.__rfloordiv__, levels1), map(q.__rfloordiv__, levels2)))
+        crossing = zip(
+            compress(product(picks, repeat=n), differ),
+            compress(levels1, differ),
+            compress(levels2, differ),
+        )
+        for combo, l1, l2 in crossing:
+            lo, hi = (l1, l2) if l1 < l2 else (l2, l1)
+            # integers m with lo < m*q < hi, in increasing order
+            start, stop = lo // q + 1, (hi - 1) // q + 1
+            if relevant_only:
+                start += -(start + rp * d) % r
+                walls += [Wall(rp, combo, m, True) for m in range(start, stop, r)]
+            else:
+                walls += [Wall(rp, combo, m, (m + rp * d) % r == 0) for m in range(start, stop)]
     return tuple(walls)

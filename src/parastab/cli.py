@@ -37,7 +37,13 @@ from .autgroup import (
     iso_transforms,
     trivial_curve,
 )
-from .chamber import chamber_invariant, same_numerical_chamber, subdegree_bounds, walls_crossed
+from .chamber import (
+    admissible_rows,
+    chamber_fingerprint,
+    same_numerical_chamber,
+    subdegree_bounds,
+    walls_crossed,
+)
 from .errors import DomainError, InputError
 from .local_matrix import (
     Laurent,
@@ -428,14 +434,15 @@ def _cmd_owt(args) -> dict:
 @_command("invariant", "chamber fingerprint over admissible patterns", "doc")
 def _cmd_invariant(args) -> dict:
     doc = _load(args)
-    inv = chamber_invariant(doc.r, doc.weights, doc.degree)
-    lower, upper = subdegree_bounds(doc.r, doc.degree, doc.weights.npoints)
+    n = doc.weights.npoints
+    values = chamber_fingerprint(doc.r, doc.weights, doc.degree)
+    lower, upper = subdegree_bounds(doc.r, doc.degree, n)
     return {
-        "r": inv.r,
-        "n": inv.n,
-        "degree": inv.d,
-        "types": [t.rows for t in inv.types],
-        "values": inv.values,
+        "r": doc.r,
+        "n": n,
+        "degree": doc.degree,
+        "types": list(admissible_rows(doc.r, n)),
+        "values": values,
         "bounds": {"lower_open": lower, "upper": upper},
     }
 
@@ -806,7 +813,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _emit(payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_to_json)
+    # payloads are freshly built trees, so the encoder need not track cycles
+    text = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), default=_to_json, check_circular=False
+    )
     sys.stdout.write(text + "\n")
 
 

@@ -382,8 +382,9 @@ class LaurentMatrix:
         each is bounded by prod_i max(1, sum_j |P_ij|_1) (a permanent of
         1-norms bounds every minor), and B is two bits above that bound,
         rounded up to whole bytes.  When n * span * B exceeds
-        _PACK_LIMIT_BITS (a sparse entry such as z^(10^6)), the same
-        recursion runs on the Laurent entries instead.
+        _PACK_LIMIT_BITS times the most terms any entry holds (a sparse
+        entry such as z^(10^6)), the same recursion runs on the Laurent
+        entries instead.
         """
         if self.nrows != self.ncols:
             raise DomainError("determinant and adjugate need a square matrix")
@@ -445,9 +446,11 @@ def _int_dot(xs: Sequence[int], ys: Sequence[int]) -> int:
 
 
 # A packed int is about n * span * B bits long however sparse the entries
-# are, so an entry like z^(10^6) would cost megabytes per int; past this
-# size the recursion runs on the Laurent entries, whose cost follows the
-# number of terms instead.
+# are, so an entry like z^(10^6) would cost megabytes per int, while the
+# Laurent entries' cost follows their number of terms.  So the recursion
+# packs while the packed size per term of the densest entry stays within
+# this limit: a dense entry with 30 terms over 0..299 stays packed, a
+# sparse span such as z^(10^6) runs on the Laurent entries.
 _PACK_LIMIT_BITS = 1 << 16
 
 
@@ -468,7 +471,7 @@ def _packing(
         )
         bound *= max(1, norm)
     width = (bound.bit_length() + 9) // 8 * 8
-    if len(rows) * span * width > _PACK_LIMIT_BITS:
+    if len(rows) * span * width > _PACK_LIMIT_BITS * max(map(len, entries)):
         return None
     return den, low, width
 

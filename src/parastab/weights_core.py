@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, islice, product, tee
 from math import lcm
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DomainError
 
@@ -318,12 +318,38 @@ def wall_values(
         yield rp, combo, Fraction(level, q)
 
 
+def first_on_wall(
+    levels: Iterable[int], rp: int, r: int, q: int, d: Optional[int]
+) -> Optional[tuple[int, int]]:
+    """(index, L) of the first of one subrank's levels that lies on a wall, or None.
+
+    L / q is a wall when it is an integer m; when d is given only walls
+    relevant for degree d count (m + r'*d divisible by r, that is
+    L = -r'*d*q mod r*q).  One pass at C speed that stops at the hit, so a
+    lazy ``row_levels`` block is read no further than needed.  The two
+    copies of the levels advance together, so nothing is buffered.
+    """
+    modulus, target = (q, 0) if d is None else (r * q, -rp * d * q % (r * q))
+    levels, scan = tee(levels)
+    hits = compress(enumerate(levels), map(target.__eq__, map(modulus.__rmod__, scan)))
+    return next(hits, None)
+
+
+def pattern_at(
+    picks: Sequence[tuple[int, ...]], n: int, index: int
+) -> tuple[tuple[int, ...], ...]:
+    """The index-th entry of ``product(picks, repeat=n)``, the order of a block's levels."""
+    return next(islice(product(picks, repeat=n), index, None))
+
+
 def _first_wall(w: WeightSystem, d: Optional[int]) -> GenericityResult:
     q = level_denominator(w)
-    r = w.rank
-    for rp, combo, level in wall_levels(w, q):
-        if level % q == 0 and (d is None or (level // q + rp * d) % r == 0):
-            return GenericityResult(False, GenericityWitness(rp, combo, level // q))
+    for rp, picks, levels in row_levels(numerator_rows(w, q)):
+        hit = first_on_wall(levels, rp, w.rank, q, d)
+        if hit is not None:
+            index, level = hit
+            witness = GenericityWitness(rp, pattern_at(picks, w.npoints, index), level // q)
+            return GenericityResult(False, witness)
     return GenericityResult(True, None)
 
 

@@ -12,6 +12,7 @@ width and the balanced-digit borrows do real work.
 from __future__ import annotations
 
 import json
+import random
 import sys
 import time
 from contextlib import redirect_stdout
@@ -32,7 +33,7 @@ from parastab import (
     hecke_conjugation_check,
 )
 from parastab.cli import main
-from parastab.local_matrix import L_ZERO
+from parastab.local_matrix import _PACK_LIMIT_BITS, L_ZERO, _packing
 
 WIDE = st.builds(
     lambda sign, num, den: Fraction(sign * num, den),
@@ -195,6 +196,7 @@ def test_hecke_check_rejects_nonpositive_precision(a, precision):
 def test_wide_exponent_spans_stay_fast(exp, rows):
     """Sparse entries with huge exponents never become huge packed ints."""
     a = LaurentMatrix.build(rows(exp))
+    assert _packing(a.rows) is None
     expected = outcome(oracles.hecke_conjugation_check, a, 24)
     start = time.perf_counter()
     assert outcome(hecke_conjugation_check, a, 24) == expected
@@ -217,3 +219,56 @@ def test_wide_exponent_spans_stay_fast(exp, rows):
             **vars(expected),
             "offenders": [list(o) for o in expected.offenders],
         }
+
+
+def dense(rng: random.Random, n: int, terms: int, span: int, dens) -> LaurentMatrix:
+    """n x n entries, each with ``terms`` nonzero coefficients over exponents 0..span-1."""
+    return LaurentMatrix.build(
+        [
+            [
+                Laurent(
+                    {
+                        e: Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), rng.choice(dens))
+                        for e in rng.sample(range(span), terms)
+                    }
+                )
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+    )
+
+
+def at(v: Laurent, z: Fraction) -> Fraction:
+    return sum((c * z**e for e, c in v.coeffs.items()), Fraction(0))
+
+
+def test_dense_wide_spans_stay_packed():
+    """Dense entries whose packed size passes the fixed limit are still packed.
+
+    The 3 x 3 matrix's packed ints exceed _PACK_LIMIT_BITS (so a size-only
+    selector sends it to the Laurent entries) and it matches the Fraction
+    kernel; the 5 x 5 one, 30 terms per entry over 0..299, took 36 s on the
+    Laurent entries and must take under a second.  It is checked through
+    A adj(A) = det(A) I at z = 3/2, as the oracle would take as long.
+    """
+    rng = random.Random(7)
+    assert _packing(WIDE_SPAN.rows) is None
+    m = dense(rng, 3, 40, 400, (7, 11, 13))
+    packing = _packing(m.rows)
+    assert packing is not None and 3 * 400 * packing[2] > _PACK_LIMIT_BITS
+    assert m.det_adjugate == oracles.berkowitz_det_adjugate(m)
+    big = dense(rng, 5, 30, 300, (1,))
+    packing = _packing(big.rows)
+    assert packing is not None and 5 * 300 * packing[2] > _PACK_LIMIT_BITS
+    start = time.perf_counter()
+    det, adj = big.det_adjugate
+    assert time.perf_counter() - start < 1.0
+    z = Fraction(3, 2)
+    a_z = [[at(v, z) for v in row] for row in big.rows]
+    adj_z = [[at(v, z) for v in row] for row in adj.rows]
+    det_z = at(det, z)
+    assert det_z != 0
+    for i in range(5):
+        for j in range(5):
+            assert sum(a_z[i][k] * adj_z[k][j] for k in range(5)) == (det_z if i == j else 0)

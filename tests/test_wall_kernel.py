@@ -8,7 +8,7 @@ cases, and ``iso`` pairs whose common denominator is neither system's own.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +18,8 @@ import oracles
 from parastab import (
     CurveData,
     DomainError,
+    GenericityResult,
+    GenericityWitness,
     NumTransform,
     act_on_rows,
     apply_to_degree,
@@ -139,6 +141,82 @@ def test_walls_crossed_matches_fraction_levels(case, relevant_only):
     new = _walls_or_error(walls_crossed, r, w1, w2, d, relevant_only=relevant_only)
     old = _walls_or_error(oracles.walls_crossed, r, w1, w2, d, relevant_only=relevant_only)
     assert new == old
+
+
+# MIXED sits on the walls m = 1 and m = -1 of subrank 1, irrelevant for even
+# degrees; NEAR_ZERO's levels cross m = 0 on two patterns and stay strictly
+# inside (0, 1) and (-1, 0) on the two patterns where MIXED sits on a wall
+NEAR_ZERO = weight_system([[F(0), F(1, 30)], [F(0), F(1, 20)]])
+# (4, 3): no subrank-1 wall; the first wall is pattern 96 of the 216 of subrank 2
+DEEP = weight_system(
+    [
+        [F(1, 12), F(7, 24), F(5, 12), F(17, 24)],
+        [F(1, 8), F(5, 12), F(5, 8), F(3, 4)],
+        [F(5, 24), F(11, 24), F(17, 24), F(23, 24)],
+    ]
+)
+DEEP_OTHER = weight_system(
+    [
+        [F(577, 4007), F(1178, 4007), F(1873, 4007), F(3590, 4007)],
+        [F(2365, 4007), F(2641, 4007), F(2883, 4007), F(2934, 4007)],
+        [F(101, 4007), F(1265, 4007), F(2911, 4007), F(3472, 4007)],
+    ]
+)
+
+
+def both_walls(w1, w2, d, relevant_only):
+    """walls_crossed and its oracle, each as walls or as the error text; asserted equal."""
+    r = w1.rank
+    new = _walls_or_error(walls_crossed, r, w1, w2, d, relevant_only=relevant_only)
+    assert new == _walls_or_error(oracles.walls_crossed, r, w1, w2, d, relevant_only=relevant_only)
+    return new
+
+
+def test_endpoint_on_an_irrelevant_wall_is_no_error():
+    for w1, w2, label in ((MIXED, NEAR_ZERO, "first"), (NEAR_ZERO, MIXED, "second")):
+        walls = both_walls(w1, w2, 0, True)
+        assert [(wall.pattern, wall.m) for wall in walls] == [(((1,), (2,)), 0), (((2,), (1,)), 0)]
+        assert both_walls(w1, w2, 0, False) == (
+            f"DomainError: {label} weight system lies on wall "
+            "(subrank 1, picks ((1,), (1,)), level 1)"
+        )
+    # at an odd degree the same walls are relevant
+    assert both_walls(MIXED, NEAR_ZERO, 1, True).startswith("DomainError: first")
+
+
+def test_both_endpoints_on_one_pattern_name_the_first():
+    """ON_WALL and MIXED both sit on the wall of picks ((1,), (1,)) at level 1."""
+    message = "DomainError: first weight system lies on wall (subrank 1, picks ((1,), (1,)), level 1)"
+    for w1, w2 in ((ON_WALL, MIXED), (MIXED, ON_WALL)):
+        assert both_walls(w1, w2, 1, True) == message
+        assert both_walls(w1, w2, 1, False) == message
+    # at d = 0 that wall is irrelevant; ON_WALL's next one, at level 0, is not
+    assert both_walls(ON_WALL, MIXED, 0, True) == (
+        "DomainError: first weight system lies on wall (subrank 1, picks ((1,), (2,)), level 0)"
+    )
+    assert both_walls(MIXED, ON_WALL, 0, True) == (
+        "DomainError: second weight system lies on wall (subrank 1, picks ((1,), (2,)), level 0)"
+    )
+
+
+def test_first_wall_deep_in_a_later_subrank():
+    witness = GenericityWitness(2, ((1, 4), (2, 4), (1, 2)), 1)
+    assert is_generic(DEEP) == oracles.first_wall(DEEP) == GenericityResult(False, witness)
+    subrank2 = list(product(combinations(range(1, 5), 2), repeat=3))
+    assert subrank2.index(witness.pattern) == 96
+    for d in range(-4, 5):
+        assert is_degree_generic(DEEP, d) == oracles.first_wall(DEEP, d)
+        for relevant_only in (True, False):
+            assert both_walls(DEEP, DEEP_OTHER, d, relevant_only).startswith(
+                "DomainError: first weight system lies on wall (subrank 2,"
+            )
+            assert both_walls(DEEP_OTHER, DEEP, d, relevant_only).startswith(
+                "DomainError: second weight system lies on wall (subrank 2,"
+            )
+    assert both_walls(DEEP, DEEP_OTHER, 0, False) == (
+        "DomainError: first weight system lies on wall "
+        "(subrank 2, picks ((1, 4), (2, 4), (1, 2)), level 1)"
+    )
 
 
 def test_walls_crossed_on_wall_message():
