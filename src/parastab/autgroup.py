@@ -183,7 +183,8 @@ def automorphism_group(
     if curve.npoints != n or curve.genus != g:
         raise DomainError("curve data mismatch")
     blanket: GenericityResult = is_generic(w)
-    relative: GenericityResult = is_degree_generic(w, d)
+    # degree-relevant walls are walls, so a system on none needs no second scan
+    relative: GenericityResult = blanket if blanket else is_degree_generic(w, d)
     if strict and not blanket:
         raise DomainError(
             f"weights are not generic: wall witness {blanket.witness}"

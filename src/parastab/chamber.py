@@ -138,23 +138,29 @@ class Wall:
     relevant: bool
 
 
-def walls_crossed(
+def wall_crossings(
     r: int,
     w1: WeightSystem,
     w2: WeightSystem,
     d: int,
     relevant_only: bool = True,
-) -> tuple[Wall, ...]:
-    """Integer wall levels strictly between the two systems' wall values.
+) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], range]]:
+    """(subrank, picks, the levels m crossed) per crossing pattern, lazily.
 
-    A level m is relevant for degree d when m + r'*d is divisible by r; only
-    those walls change the chamber invariant.  Raises when an endpoint sits
-    exactly on a scanned wall, since sidedness is then undefined.
+    The m run over the integers strictly between the pattern's two wall
+    values, in increasing order; with ``relevant_only`` only those relevant
+    for degree d (m + r'*d divisible by r), so the range steps by r.
+    Patterns come in canonical order and each is yielded only when its
+    range is nonempty.  Raises when an endpoint sits exactly on a scanned
+    wall, since sidedness is then undefined: the error names the earliest
+    such pattern, the first system on a tie, and comes when iteration
+    reaches its subrank.
 
     One pass per subrank: each system's levels are read once, the endpoints
     are tested for a scanned wall by ``first_on_wall``, and picks are built
-    only for the patterns whose floors differ, since only those can have an
-    integer strictly between their two levels.
+    only for the patterns whose floors differ: L // q for every wall, and
+    the fingerprint's (r'dq + L) // rq for the relevant ones, since only
+    those patterns have a scanned wall strictly between their two levels.
     """
     if w1.rank != w2.rank or w1.npoints != w2.npoints:
         raise DomainError("weight systems must share rank and point count")
@@ -163,9 +169,13 @@ def walls_crossed(
     n = w1.npoints
     scanned = d if relevant_only else None
     q = level_denominator(w1, w2)
-    walls = []
-    blocks = zip(row_levels(numerator_rows(w1, q)), row_levels(numerator_rows(w2, q)))
-    for (rp, picks, levels1), (_, _, levels2) in blocks:
+    # the scanned walls of subrank r' are the m with m + offset = k * step for
+    # an integer k, that is the levels L with L + offset * q = k * width
+    step = r if relevant_only else 1
+    width = step * q
+
+    def block(pair) -> list[tuple[int, tuple[tuple[int, ...], ...], range]]:
+        (rp, picks, levels1), (_, _, levels2) = pair
         levels1, levels2 = list(levels1), list(levels2)
         hits = []
         for label, levels in (("first", levels1), ("second", levels2)):
@@ -179,19 +189,45 @@ def walls_crossed(
                 f"{label} weight system lies on wall "
                 f"(subrank {rp}, picks {pattern_at(picks, n, index)}, level {level // q})"
             )
-        differ = list(map(ne, map(q.__rfloordiv__, levels1), map(q.__rfloordiv__, levels2)))
+        offset = rp * d if relevant_only else 0
+        shift = offset * q
+        floors1 = list(map(width.__rfloordiv__, map(shift.__add__, levels1)))
+        floors2 = list(map(width.__rfloordiv__, map(shift.__add__, levels2)))
+        differ = list(map(ne, floors1, floors2))
         crossing = zip(
             compress(product(picks, repeat=n), differ),
-            compress(levels1, differ),
-            compress(levels2, differ),
+            compress(floors1, differ),
+            compress(floors2, differ),
         )
-        for combo, l1, l2 in crossing:
-            lo, hi = (l1, l2) if l1 < l2 else (l2, l1)
-            # integers m with lo < m*q < hi, in increasing order
-            start, stop = lo // q + 1, (hi - 1) // q + 1
-            if relevant_only:
-                start += -(start + rp * d) % r
-                walls += [Wall(rp, combo, m, True) for m in range(start, stop, r)]
-            else:
-                walls += [Wall(rp, combo, m, (m + rp * d) % r == 0) for m in range(start, stop)]
-    return tuple(walls)
+        # no endpoint is on a scanned wall, so the k strictly between two
+        # floors are low + 1 .. high, at m = k * step - offset
+        first = step - offset
+        return [
+            (rp, combo, range(min(f1, f2) * step + first, max(f1, f2) * step + first, step))
+            for combo, f1, f2 in crossing
+        ]
+
+    blocks = zip(row_levels(numerator_rows(w1, q)), row_levels(numerator_rows(w2, q)))
+    # a plain function returning a lazy chain: a subrank is scanned when reached
+    return chain.from_iterable(map(block, blocks))
+
+
+def walls_crossed(
+    r: int,
+    w1: WeightSystem,
+    w2: WeightSystem,
+    d: int,
+    relevant_only: bool = True,
+) -> tuple[Wall, ...]:
+    """Integer wall levels strictly between the two systems' wall values.
+
+    A level m is relevant for degree d when m + r'*d is divisible by r; only
+    those walls change the chamber invariant.  Raises when an endpoint sits
+    exactly on a scanned wall, since sidedness is then undefined.  One
+    ``Wall`` per level of each ``wall_crossings`` range.
+    """
+    return tuple(
+        Wall(rp, combo, m, relevant_only or (m + rp * d) % r == 0)
+        for rp, combo, levels in wall_crossings(r, w1, w2, d, relevant_only)
+        for m in levels
+    )

@@ -21,7 +21,6 @@ error, 2 malformed input, argument errors included.  Errors print
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
@@ -42,7 +41,7 @@ from .chamber import (
     chamber_fingerprint,
     same_numerical_chamber,
     subdegree_bounds,
-    walls_crossed,
+    wall_crossings,
 )
 from .errors import DomainError, InputError
 from .local_matrix import (
@@ -374,17 +373,27 @@ def _ser_weights(w: WeightSystem, degree: int) -> dict:
     return {"r": w.rank, "points": w.points, "weights": w.weights, "degree": degree}
 
 
-def _ser_wall(wall: Any) -> Optional[dict]:
-    """A Wall or GenericityWitness, its pattern given as per-point "picks".
+def _fields(result: Any) -> dict:
+    """A dataclass result's fields, shallowly: nested values go through ``_to_json``."""
+    return dict(vars(result))
 
-    A shallow copy of the fields: ``walls --all`` can report hundreds of
-    walls, and ``dataclasses.asdict`` deep-copies each one.
-    """
-    if wall is None:
+
+def _ser_witness(witness: Any) -> Optional[dict]:
+    """A GenericityWitness, its pattern given as per-point "picks"."""
+    if witness is None:
         return None
-    out = dict(vars(wall))
+    out = _fields(witness)
     out["picks"] = out.pop("pattern")
     return out
+
+
+def _ser_walls(r: int, w1: WeightSystem, w2: WeightSystem, d: int, relevant_only: bool) -> list:
+    """One {"m", "picks", "relevant", "subrank"} per wall crossed, straight from the ranges."""
+    return [
+        {"m": m, "picks": picks, "relevant": relevant_only or (m + rp * d) % r == 0, "subrank": rp}
+        for rp, picks, levels in wall_crossings(r, w1, w2, d, relevant_only)
+        for m in levels
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +460,18 @@ def _cmd_invariant(args) -> dict:
 def _cmd_same_chamber(args) -> dict:
     doc1, doc2 = _load(args)
     _agree(doc1, doc2, "r", "degree")
-    same = same_numerical_chamber(doc1.r, doc1.weights, doc2.weights, doc1.degree)
+    r, w1, w2, d = doc1.r, doc1.weights, doc2.weights, doc1.degree
     try:
-        crossed = walls_crossed(doc1.r, doc1.weights, doc2.weights, doc1.degree)
-        walls = [_ser_wall(w) for w in crossed]
+        walls = _ser_walls(r, w1, w2, d, True)
     except DomainError:
         walls = None
-    return {"same": same, "degree": doc1.degree, "walls": walls}
+    # off relevant walls, the fingerprints agree exactly when no relevant wall
+    # lies between; otherwise (and for the rank error) compare them
+    if walls is None or r < 2:
+        same = same_numerical_chamber(r, w1, w2, d)
+    else:
+        same = not walls
+    return {"same": same, "degree": d, "walls": walls}
 
 
 @_command(
@@ -467,23 +481,22 @@ def _cmd_same_chamber(args) -> dict:
 def _cmd_walls(args) -> dict:
     doc1, doc2 = _load(args)
     _agree(doc1, doc2, "r", "degree")
-    walls = walls_crossed(
-        doc1.r, doc1.weights, doc2.weights, doc1.degree, relevant_only=not args.all
-    )
-    return {"degree": doc1.degree, "count": len(walls), "walls": [_ser_wall(w) for w in walls]}
+    walls = _ser_walls(doc1.r, doc1.weights, doc2.weights, doc1.degree, not args.all)
+    return {"degree": doc1.degree, "count": len(walls), "walls": walls}
 
 
 @_command("generic", "wall membership tests", "doc")
 def _cmd_generic(args) -> dict:
     doc = _load(args)
     blanket = is_generic(doc.weights)
-    relative = is_degree_generic(doc.weights, doc.degree)
+    # degree-relevant walls are walls, so off every wall there is none to find
+    relative = blanket if blanket else is_degree_generic(doc.weights, doc.degree)
     return {
         "generic": blanket.generic,
-        "witness": _ser_wall(blanket.witness),
+        "witness": _ser_witness(blanket.witness),
         "degree": doc.degree,
         "degree_generic": relative.generic,
-        "degree_witness": _ser_wall(relative.witness),
+        "degree_witness": _ser_witness(relative.witness),
     }
 
 
@@ -505,7 +518,7 @@ def _cmd_concentrated(args) -> dict:
     _arg("--stratum", type=int, default=None),
 )
 def _cmd_dims(args) -> dict:
-    payload = dataclasses.asdict(dims(args.genus, args.points, args.rank))
+    payload = _fields(dims(args.genus, args.points, args.rank))
     payload["stratum"] = None
     if args.stratum is not None:
         payload["stratum"] = dim_nonreduced_stratum(
@@ -529,7 +542,7 @@ def _cmd_bounds(args) -> dict:
     if args.pattern is not None:
         t = _parse_pattern(_parse_json(args.pattern), doc.r, doc.weights.npoints)
     result = genus_bounds(doc.weights, w2=w2, t=t, l=args.l, m=args.m, k=args.k)
-    return dataclasses.asdict(result)
+    return _fields(result)
 
 
 @_command(
@@ -572,7 +585,7 @@ def _cmd_aut(args) -> dict:
         doc.r, doc.weights.npoints, doc.degree, curve.genus, doc.weights, curve,
         strict=args.strict,
     )
-    payload = dataclasses.asdict(result)
+    payload = _fields(result)
     del payload["lift_faithful_genus"]
     payload["degree"] = payload.pop("d")
     payload["genus_sufficient"] = result.genus_sufficient
@@ -615,9 +628,7 @@ def _cmd_iso(args) -> dict:
     _arg("--aut-order", type=int, default=1, dest="aut_order"),
 )
 def _cmd_orders(args) -> dict:
-    return dataclasses.asdict(
-        concentrated_orders(args.genus, args.rank, args.points, args.aut_order)
-    )
+    return _fields(concentrated_orders(args.genus, args.rank, args.points, args.aut_order))
 
 
 @_command("matrix-xi", "the exponent pattern matrix", None, _arg("--n", type=int, required=True))
@@ -654,7 +665,7 @@ def _cmd_matrix_mp(args) -> dict:
 def _cmd_matrix_hecke(args) -> dict:
     if args.precision < 1:
         raise InputError(f"--precision must be at least 1, got {args.precision}")
-    return dataclasses.asdict(hecke_conjugation_check(_load(args), precision=args.precision))
+    return _fields(hecke_conjugation_check(_load(args), precision=args.precision))
 
 
 # ---------------------------------------------------------------------------

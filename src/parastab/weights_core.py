@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, islice, product, tee
+from itertools import combinations, islice, product, tee
 from math import lcm
+from operator import indexOf
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DomainError
@@ -326,13 +327,16 @@ def first_on_wall(
     L / q is a wall when it is an integer m; when d is given only walls
     relevant for degree d count (m + r'*d divisible by r, that is
     L = -r'*d*q mod r*q).  One pass at C speed that stops at the hit, so a
-    lazy ``row_levels`` block is read no further than needed.  The two
-    copies of the levels advance together, so nothing is buffered.
+    lazy ``row_levels`` block is read no further than needed; the copy that
+    gives L holds the levels scanned so far, at most one block.
     """
     modulus, target = (q, 0) if d is None else (r * q, -rp * d * q % (r * q))
     levels, scan = tee(levels)
-    hits = compress(enumerate(levels), map(target.__eq__, map(modulus.__rmod__, scan)))
-    return next(hits, None)
+    try:
+        index = indexOf(map(modulus.__rmod__, scan), target)
+    except ValueError:
+        return None
+    return index, next(islice(levels, index, None))
 
 
 def pattern_at(

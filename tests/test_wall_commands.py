@@ -4,10 +4,11 @@
 run through ``main()`` on a dozen fixed documents, (r, n) up to (5, 3):
 generic pairs with large prime denominators, endpoints on relevant and on
 irrelevant walls, a first wall deep in subrank 2, both endpoints on walls of
-one pattern, and malformed or disagreeing documents.  The sha256 of each
-exit code and output line was recorded from the per-pattern implementation
-that the per-subrank pass replaced, so any change in a wall, its order, a
-witness or an error message shows here.
+one pattern, rank-1 documents, and malformed or disagreeing documents.  The
+sha256 of each exit code and output line was recorded from the per-pattern
+implementation that the per-subrank pass replaced (the rank-1 ones from the
+``Wall``-building CLI that preceded the crossing ranges), so any change in a
+wall, its order, a witness or an error message shows here.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from itertools import product
 
 import pytest
 
-from parastab import admissible_rows, admissible_types, count_admissible
-from parastab.cli import main
+from parastab import admissible_rows, admissible_types, chamber_fingerprint, count_admissible
+from parastab.cli import Document, main
 
 
 def doc(r: int, d: int, rows: list[str]) -> dict:
@@ -83,6 +84,7 @@ CASES = {
                     "123/997 203/997 253/997 635/997 812/997"]),
         doc(5, -1, ["1/30 3/10 7/15 1/2 2/3", "11/30 13/30 3/5 19/30 5/6"]),
     ),
+    "r1-rank-one": (doc(1, 0, ["1/3", "1/2"]), doc(1, 0, ["1/4", "2/3"])),
     "degrees-disagree": (doc(2, 0, R2_MIXED), doc(2, 1, R2_MIXED)),
     "not-increasing": (doc(2, 0, ["1/2 1/3"]), doc(2, 0, ["1/3 1/2"])),
     "rank-mismatch": (doc(3, 0, R2_MIXED), doc(3, 0, R2_MIXED)),
@@ -147,6 +149,11 @@ HASHES = {
     "r5-second-on-wall/walls": "21258652c7b1cb6a538e5cb617fda8887c8b16babdb31e39d5cdb9bf739e83d5",
     "r5-second-on-wall/walls-all": "3417bc44e89a70895bc32abb6fe3a2ac39a54de5e47291d85c066a6b8376d1a2",
     "r5-second-on-wall/same-chamber": "c7056d7d426d0a93e2347a03de2ecbbbb03942a7b9079eef66813a1b314d99d3",
+    "r1-rank-one/invariant": "db33aacf2375ef8afd8fa30f84ee0a72578f7774ead6976222c278525e92d871",
+    "r1-rank-one/generic": "a911eaa98f1bf67edb6b88e503e1e8145c7bfea15021f13b88266d70167ba288",
+    "r1-rank-one/walls": "c629468617971cdb43bcaed373c97c7096fd436fa1a9e89b39130b7d1729dca7",
+    "r1-rank-one/walls-all": "c629468617971cdb43bcaed373c97c7096fd436fa1a9e89b39130b7d1729dca7",
+    "r1-rank-one/same-chamber": "db33aacf2375ef8afd8fa30f84ee0a72578f7774ead6976222c278525e92d871",
     "degrees-disagree/invariant": "5b8ad94f8340f2f2347dec660ea5c736b9dc2e31ad47f65929eb212bdcc1b633",
     "degrees-disagree/generic": "378b42234b5aa429c3b3e33516fc95c8dc64331c2e078e806e60c1730f77e30c",
     "degrees-disagree/walls": "8f2d946cb9b3eddd7cffe75ec2daaada4c86207bf336cf31c017eca0010899d8",
@@ -187,6 +194,40 @@ def output_hash(case: str, command: str) -> str:
 @pytest.mark.parametrize("case", CASES)
 def test_wall_command_output_is_unchanged(case, command):
     assert output_hash(case, command) == HASHES[f"{case}/{command}"]
+
+
+def payload(case: str, command: str) -> tuple[int, dict]:
+    first, second = CASES[case]
+    single = command in ("invariant", "generic")
+    code, out = run(COMMANDS[command], first if single else {"first": first, "second": second})
+    return code, json.loads(out)
+
+
+def test_rank_one_same_chamber_is_the_rank_error():
+    """The rank error comes before the wall scan, which finds no subrank at r = 1."""
+    error = {"error": {"kind": "domain", "message": "requires r >= 2 and n >= 1"}}
+    assert payload("r1-rank-one", "same-chamber") == (1, error)
+    assert payload("r1-rank-one", "walls") == (0, {"count": 0, "degree": 0, "walls": []})
+
+
+def test_generic_off_every_wall_has_no_degree_witness():
+    code, out = payload("r5-second-on-wall", "generic")
+    assert code == 0
+    assert out == {
+        "degree": -1, "degree_generic": True, "degree_witness": None,
+        "generic": True, "witness": None,
+    }
+
+
+@pytest.mark.parametrize("case", ["r5-second-on-wall", "r2-one-pattern", "r3-one-point"])
+def test_same_chamber_on_a_relevant_wall_compares_fingerprints(case):
+    """An endpoint on a relevant wall: ``walls`` is null and ``same`` is fingerprint equality."""
+    first, second = CASES[case]
+    w1, w2 = Document(first).weights, Document(second).weights
+    r, d = first["r"], first["degree"]
+    same = chamber_fingerprint(r, w1, d) == chamber_fingerprint(r, w2, d)
+    assert payload(case, "same-chamber") == (0, {"degree": d, "same": same, "walls": None})
+    assert payload(case, "walls")[0] == 1
 
 
 @pytest.mark.parametrize("n", range(1, 5))

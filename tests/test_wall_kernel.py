@@ -1,4 +1,4 @@
-"""The integer wall-level kernel and row action against the Fraction paths.
+"""The integer wall-level kernel, row action and wall commands against the Fraction paths.
 
 Weights are drawn with small, mixed denominators so that many inputs sit
 exactly on a wall; the explicit examples pin a few on-wall and off-wall
@@ -7,6 +7,7 @@ cases, and ``iso`` pairs whose common denominator is neither system's own.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_wall_commands import run
 from parastab import (
     CurveData,
     DomainError,
@@ -219,12 +221,93 @@ def test_first_wall_deep_in_a_later_subrank():
     )
 
 
+@pytest.mark.parametrize(
+    "w, d, generic, degree_generic",
+    [(DEEP_OTHER, 1, True, True), (MIXED, 0, False, True), (MIXED, 1, False, False)],
+)
+def test_aut_genericity_flags_match_first_wall(w, d, generic, degree_generic):
+    """``aut`` reuses the blanket scan as the degree result when no wall is hit."""
+    result = automorphism_group(w.rank, w.npoints, d, 2, w, CurveData(2, w.points))
+    assert (result.generic, result.degree_generic) == (generic, degree_generic)
+    assert result.generic == oracles.first_wall(w).generic
+    assert result.degree_generic == oracles.first_wall(w, d).generic
+
+
 def test_walls_crossed_on_wall_message():
     with pytest.raises(DomainError) as err:
         walls_crossed(2, ON_WALL, MIXED, 1)
     assert str(err.value) == (
         "first weight system lies on wall (subrank 1, picks ((1,), (1,)), level 1)"
     )
+
+
+def cli_pair(command: list[str], w1, w2, d) -> tuple[int, object]:
+    """Exit code and parsed output of a pair command run through ``main()``."""
+
+    def doc(w):
+        points = [
+            {"label": label, "weights": [str(a) for a in tup]}
+            for label, tup in zip(w.points, w.weights)
+        ]
+        return {"r": w.rank, "degree": d, "points": points}
+
+    code, out = run(command, {"first": doc(w1), "second": doc(w2)})
+    return code, json.loads(out)
+
+
+def oracle_wall_dicts(w1, w2, d, relevant_only):
+    """The oracle's walls as the CLI reports them, or None when an endpoint is on one."""
+    try:
+        walls = oracles.walls_crossed(w1.rank, w1, w2, d, relevant_only=relevant_only)
+    except DomainError:
+        return None
+    return [
+        {"m": w.m, "picks": [list(c) for c in w.pattern], "relevant": w.relevant,
+         "subrank": w.subrank}
+        for w in walls
+    ]
+
+
+@settings(max_examples=25)
+@given(pair())
+@example((ON_WALL, MIXED, 0))
+@example((MIXED, NEAR_ZERO, 0))
+@example((MIXED, NEAR_ZERO, 1))
+@example((DEEP_OTHER, DEEP, 1))
+@example((NEAR_ZERO, weight_system([[F(0), F(9, 10)], [F(1, 3), F(1, 2)]]), 0))
+def test_cli_wall_payloads_match_the_oracle(case):
+    """``walls`` and ``walls --all`` build their dicts from the crossing ranges."""
+    w1, w2, d = case
+    for command, relevant_only in ((["walls"], True), (["walls", "--all"], False)):
+        code, payload = cli_pair(command, w1, w2, d)
+        walls = oracle_wall_dicts(w1, w2, d, relevant_only)
+        if walls is None:
+            message = _walls_or_error(
+                oracles.walls_crossed, w1.rank, w1, w2, d, relevant_only=relevant_only
+            )
+            assert (code, payload) == (
+                1, {"error": {"kind": "domain", "message": message[len("DomainError: "):]}}
+            )
+        else:
+            assert (code, payload) == (0, {"degree": d, "count": len(walls), "walls": walls})
+
+
+@settings(max_examples=25)
+@given(pair())
+@example((ON_WALL, MIXED, 0))
+@example((MIXED, ON_WALL, 0))
+@example((MIXED, NEAR_ZERO, 0))
+@example((MIXED, NEAR_ZERO, 1))
+@example((MIXED, MIXED, 1))
+@example((DEEP, DEEP_OTHER, 0))
+def test_same_chamber_matches_oracle_fingerprints(case):
+    """``same`` off the relevant crossings, or off the fingerprints when an endpoint
+    sits on a relevant wall (``walls`` is then null)."""
+    w1, w2, d = case
+    code, payload = cli_pair(["same-chamber"], w1, w2, d)
+    same = oracles.fingerprint(w1.rank, w1, d) == oracles.fingerprint(w1.rank, w2, d)
+    walls = oracle_wall_dicts(w1, w2, d, True)
+    assert (code, payload) == (0, {"same": same, "degree": d, "walls": walls})
 
 
 @st.composite
