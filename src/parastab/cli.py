@@ -25,6 +25,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, combinations, product
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -37,7 +38,6 @@ from .autgroup import (
     trivial_curve,
 )
 from .chamber import (
-    admissible_rows,
     chamber_fingerprint,
     same_numerical_chamber,
     subdegree_bounds,
@@ -387,13 +387,52 @@ def _ser_witness(witness: Any) -> Optional[dict]:
     return out
 
 
-def _ser_walls(r: int, w1: WeightSystem, w2: WeightSystem, d: int, relevant_only: bool) -> list:
-    """One {"m", "picks", "relevant", "subrank"} per wall crossed, straight from the ranges."""
-    return [
-        {"m": m, "picks": picks, "relevant": relevant_only or (m + rp * d) % r == 0, "subrank": rp}
-        for rp, picks, levels in wall_crossings(r, w1, w2, d, relevant_only)
+class _Json(str):
+    """JSON text already encoded, which ``_emit`` writes verbatim as a top-level value."""
+
+
+def _require_walls(r: int) -> None:
+    """Wall levels need a proper subrank: the wall commands refuse rank 1 like the fingerprint."""
+    if r < 2:
+        raise DomainError("requires r >= 2 and n >= 1")
+
+
+def _ser_walls(
+    r: int, w1: WeightSystem, w2: WeightSystem, d: int, relevant_only: bool
+) -> tuple[int, _Json]:
+    """The count and text of the {"m", "picks", "relevant", "subrank"} list.
+
+    One formatted string per wall, straight from the crossing ranges, with
+    one picks text per crossing pattern, so no wall dict is built for the
+    encoder to walk.
+    """
+    pick_text = {
+        c: "[%s]" % ",".join(map(str, c))
+        for rp in range(1, r)
+        for c in combinations(range(1, r + 1), rp)
+    }.__getitem__
+    boolean = ("false", "true")
+    walls = [
+        f'{{"m":{m},"picks":[{picks}],'
+        f'"relevant":{boolean[relevant_only or (m + rp * d) % r == 0]},"subrank":{rp}}}'
+        for rp, combo, levels in wall_crossings(r, w1, w2, d, relevant_only)
+        for picks in [",".join(map(pick_text, combo))]
         for m in levels
     ]
+    return len(walls), _Json("[%s]" % ",".join(walls))
+
+
+def _ser_types(r: int, n: int) -> _Json:
+    """The text of ``list(admissible_rows(r, n))``: per subrank, the n-fold product of row texts."""
+
+    def block(rp: int):
+        rows = [
+            "[%s]" % ",".join("1" if i in picked else "0" for i in range(1, r + 1))
+            for picked in combinations(range(1, r + 1), rp)
+        ]
+        return map(",".join, product(rows, repeat=n))
+
+    return _Json("[[%s]]" % "],[".join(chain.from_iterable(map(block, range(1, r)))))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +489,7 @@ def _cmd_invariant(args) -> dict:
         "r": doc.r,
         "n": n,
         "degree": doc.degree,
-        "types": list(admissible_rows(doc.r, n)),
+        "types": _ser_types(doc.r, n),
         "values": values,
         "bounds": {"lower_open": lower, "upper": upper},
     }
@@ -461,17 +500,14 @@ def _cmd_same_chamber(args) -> dict:
     doc1, doc2 = _load(args)
     _agree(doc1, doc2, "r", "degree")
     r, w1, w2, d = doc1.r, doc1.weights, doc2.weights, doc1.degree
+    _require_walls(r)
     try:
-        walls = _ser_walls(r, w1, w2, d, True)
+        count, walls = _ser_walls(r, w1, w2, d, True)
     except DomainError:
-        walls = None
-    # off relevant walls, the fingerprints agree exactly when no relevant wall
-    # lies between; otherwise (and for the rank error) compare them
-    if walls is None or r < 2:
-        same = same_numerical_chamber(r, w1, w2, d)
-    else:
-        same = not walls
-    return {"same": same, "degree": d, "walls": walls}
+        # an endpoint on a relevant wall: compare the fingerprints themselves
+        return {"same": same_numerical_chamber(r, w1, w2, d), "degree": d, "walls": None}
+    # off relevant walls, the fingerprints agree exactly when no relevant wall lies between
+    return {"same": count == 0, "degree": d, "walls": walls}
 
 
 @_command(
@@ -481,13 +517,15 @@ def _cmd_same_chamber(args) -> dict:
 def _cmd_walls(args) -> dict:
     doc1, doc2 = _load(args)
     _agree(doc1, doc2, "r", "degree")
-    walls = _ser_walls(doc1.r, doc1.weights, doc2.weights, doc1.degree, not args.all)
-    return {"degree": doc1.degree, "count": len(walls), "walls": walls}
+    _require_walls(doc1.r)
+    count, walls = _ser_walls(doc1.r, doc1.weights, doc2.weights, doc1.degree, not args.all)
+    return {"degree": doc1.degree, "count": count, "walls": walls}
 
 
 @_command("generic", "wall membership tests", "doc")
 def _cmd_generic(args) -> dict:
     doc = _load(args)
+    _require_walls(doc.r)
     blanket = is_generic(doc.weights)
     # degree-relevant walls are walls, so off every wall there is none to find
     relative = blanket if blanket else is_degree_generic(doc.weights, doc.degree)
@@ -823,12 +861,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0 if payload.get("all_pass", True) else 1
 
 
+# payloads are freshly built trees, so the encoder need not track cycles
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=_to_json, check_circular=False
+)
+
+
 def _emit(payload: dict) -> None:
-    # payloads are freshly built trees, so the encoder need not track cycles
-    text = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=_to_json, check_circular=False
+    """One line: the keys sorted, ``_Json`` values verbatim, every other value encoded."""
+    encode = _ENCODER.encode
+    items = ",".join(
+        encode(key) + ":" + (value if isinstance(value, _Json) else encode(value))
+        for key, value in sorted(payload.items())
     )
-    sys.stdout.write(text + "\n")
+    sys.stdout.write("{" + items + "}\n")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+
+from parastab import cli
 
 RANK2_DOC = {
     "r": 2,
@@ -364,6 +367,25 @@ def test_output_is_deterministic(tmp_path):
     runs = [run_cli("invariant", path).stdout for _ in range(2)]
     assert runs[0] == runs[1]
     assert runs[0].endswith("\n")
+
+
+def test_emit_writes_pre_encoded_values_verbatim(capsys):
+    """A ``_Json`` value goes in as it is, among keys encoded as ``json.dumps`` would."""
+    walls = [{"m": -2, "picks": [[1, 3], [2]], "relevant": True, "subrank": 2}]
+    payload = {
+        "walls": cli._Json('[{"m":-2,"picks":[[1,3],[2]],"relevant":true,"subrank":2}]'),
+        "bound": Fraction(-4, 9),
+        "bounds": {"upper": Fraction(3, 2), "lower_open": 0, "x": [None, "\u00e9"]},
+        "count": 1,
+    }
+    cli._emit(payload)
+    tree = {
+        "walls": walls,
+        "bound": "-4/9",
+        "bounds": {"upper": "3/2", "lower_open": 0, "x": [None, "\u00e9"]},
+        "count": 1,
+    }
+    assert capsys.readouterr().out == json.dumps(tree, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -251,3 +251,5 @@ def test_every_subcommand_keeps_the_contract(invocation):
     assert out.endswith("\n") and out.count("\n") == 1
     payload = json.loads(out)
     assert ("error" in payload) == (code != 0)
+    # every value, pre-encoded text included, is in canonical form
+    assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

@@ -6,9 +6,9 @@ generic pairs with large prime denominators, endpoints on relevant and on
 irrelevant walls, a first wall deep in subrank 2, both endpoints on walls of
 one pattern, rank-1 documents, and malformed or disagreeing documents.  The
 sha256 of each exit code and output line was recorded from the per-pattern
-implementation that the per-subrank pass replaced (the rank-1 ones from the
-``Wall``-building CLI that preceded the crossing ranges), so any change in a
-wall, its order, a witness or an error message shows here.
+implementation that the per-subrank pass replaced (the rank-1 ones once every
+wall command refused rank 1), so any change in a wall, its order, a witness
+or an error message shows here.
 """
 
 from __future__ import annotations
@@ -22,7 +22,13 @@ from itertools import product
 
 import pytest
 
-from parastab import admissible_rows, admissible_types, chamber_fingerprint, count_admissible
+from parastab import (
+    admissible_rows,
+    admissible_types,
+    chamber_fingerprint,
+    count_admissible,
+    subdegree_bounds,
+)
 from parastab.cli import Document, main
 
 
@@ -150,9 +156,9 @@ HASHES = {
     "r5-second-on-wall/walls-all": "3417bc44e89a70895bc32abb6fe3a2ac39a54de5e47291d85c066a6b8376d1a2",
     "r5-second-on-wall/same-chamber": "c7056d7d426d0a93e2347a03de2ecbbbb03942a7b9079eef66813a1b314d99d3",
     "r1-rank-one/invariant": "db33aacf2375ef8afd8fa30f84ee0a72578f7774ead6976222c278525e92d871",
-    "r1-rank-one/generic": "a911eaa98f1bf67edb6b88e503e1e8145c7bfea15021f13b88266d70167ba288",
-    "r1-rank-one/walls": "c629468617971cdb43bcaed373c97c7096fd436fa1a9e89b39130b7d1729dca7",
-    "r1-rank-one/walls-all": "c629468617971cdb43bcaed373c97c7096fd436fa1a9e89b39130b7d1729dca7",
+    "r1-rank-one/generic": "db33aacf2375ef8afd8fa30f84ee0a72578f7774ead6976222c278525e92d871",
+    "r1-rank-one/walls": "db33aacf2375ef8afd8fa30f84ee0a72578f7774ead6976222c278525e92d871",
+    "r1-rank-one/walls-all": "db33aacf2375ef8afd8fa30f84ee0a72578f7774ead6976222c278525e92d871",
     "r1-rank-one/same-chamber": "db33aacf2375ef8afd8fa30f84ee0a72578f7774ead6976222c278525e92d871",
     "degrees-disagree/invariant": "5b8ad94f8340f2f2347dec660ea5c736b9dc2e31ad47f65929eb212bdcc1b633",
     "degrees-disagree/generic": "378b42234b5aa429c3b3e33516fc95c8dc64331c2e078e806e60c1730f77e30c",
@@ -204,10 +210,10 @@ def payload(case: str, command: str) -> tuple[int, dict]:
 
 
 def test_rank_one_same_chamber_is_the_rank_error():
-    """The rank error comes before the wall scan, which finds no subrank at r = 1."""
+    """Every wall command refuses rank 1 with the fingerprint's rank error, exit 1."""
     error = {"error": {"kind": "domain", "message": "requires r >= 2 and n >= 1"}}
-    assert payload("r1-rank-one", "same-chamber") == (1, error)
-    assert payload("r1-rank-one", "walls") == (0, {"count": 0, "degree": 0, "walls": []})
+    for command in COMMANDS:
+        assert payload("r1-rank-one", command) == (1, error)
 
 
 def test_generic_off_every_wall_has_no_degree_witness():
@@ -244,6 +250,14 @@ def test_invariant_rows_are_the_admissible_types(r, n):
     by_sum = [[v for v in ordered if sum(v) == k] for k in range(1, r)]
     assert rows == [p for same_sum in by_sum for p in product(same_sum, repeat=n)]
     assert len(rows) == count_admissible(r, n)
-    code, out = run(["invariant"], doc(r, 0, [" ".join(f"{k}/{r}" for k in range(r))] * n))
+    w = doc(r, 0, [" ".join(f"{k}/{r}" for k in range(r))] * n)
+    code, out = run(["invariant"], w)
     assert code == 0
     assert json.loads(out)["types"] == json.loads(json.dumps(rows))
+    lower, upper = subdegree_bounds(r, 0, n)
+    expected = {
+        "r": r, "n": n, "degree": 0, "types": rows,
+        "values": chamber_fingerprint(r, Document(w).weights, 0),
+        "bounds": {"lower_open": str(lower), "upper": str(upper)},
+    }
+    assert out == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"

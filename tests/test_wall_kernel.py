@@ -241,8 +241,8 @@ def test_walls_crossed_on_wall_message():
     )
 
 
-def cli_pair(command: list[str], w1, w2, d) -> tuple[int, object]:
-    """Exit code and parsed output of a pair command run through ``main()``."""
+def cli_pair(command: list[str], w1, w2, d) -> tuple[int, str]:
+    """Exit code and output line of a pair command run through ``main()``."""
 
     def doc(w):
         points = [
@@ -251,8 +251,13 @@ def cli_pair(command: list[str], w1, w2, d) -> tuple[int, object]:
         ]
         return {"r": w.rank, "degree": d, "points": points}
 
-    code, out = run(command, {"first": doc(w1), "second": doc(w2)})
-    return code, json.loads(out)
+    return run(command, {"first": doc(w1), "second": doc(w2)})
+
+
+def assert_output(got: tuple[int, str], code: int, expected: dict) -> None:
+    """The exit code and payload, and the exact line: sorted keys, compact separators."""
+    assert (got[0], json.loads(got[1])) == (code, expected)
+    assert got[1] == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def oracle_wall_dicts(w1, w2, d, relevant_only):
@@ -279,17 +284,16 @@ def test_cli_wall_payloads_match_the_oracle(case):
     """``walls`` and ``walls --all`` build their dicts from the crossing ranges."""
     w1, w2, d = case
     for command, relevant_only in ((["walls"], True), (["walls", "--all"], False)):
-        code, payload = cli_pair(command, w1, w2, d)
+        got = cli_pair(command, w1, w2, d)
         walls = oracle_wall_dicts(w1, w2, d, relevant_only)
         if walls is None:
             message = _walls_or_error(
                 oracles.walls_crossed, w1.rank, w1, w2, d, relevant_only=relevant_only
             )
-            assert (code, payload) == (
-                1, {"error": {"kind": "domain", "message": message[len("DomainError: "):]}}
-            )
+            error = {"kind": "domain", "message": message[len("DomainError: "):]}
+            assert_output(got, 1, {"error": error})
         else:
-            assert (code, payload) == (0, {"degree": d, "count": len(walls), "walls": walls})
+            assert_output(got, 0, {"degree": d, "count": len(walls), "walls": walls})
 
 
 @settings(max_examples=25)
@@ -304,10 +308,10 @@ def test_same_chamber_matches_oracle_fingerprints(case):
     """``same`` off the relevant crossings, or off the fingerprints when an endpoint
     sits on a relevant wall (``walls`` is then null)."""
     w1, w2, d = case
-    code, payload = cli_pair(["same-chamber"], w1, w2, d)
+    got = cli_pair(["same-chamber"], w1, w2, d)
     same = oracles.fingerprint(w1.rank, w1, d) == oracles.fingerprint(w1.rank, w2, d)
     walls = oracle_wall_dicts(w1, w2, d, True)
-    assert (code, payload) == (0, {"same": same, "degree": d, "walls": walls})
+    assert_output(got, 0, {"same": same, "degree": d, "walls": walls})
 
 
 @st.composite
