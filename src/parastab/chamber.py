@@ -25,7 +25,16 @@ from .weights_core import (
     owt,
     pattern_at,
     row_levels,
+    wall_grid,
 )
+
+
+def pick_rows(r: int, rp: int) -> list[tuple[int, ...]]:
+    """The 0/1 row of each r'-subset of 1..r, in the pick order of ``row_levels``."""
+    return [
+        tuple(1 if i in picked else 0 for i in range(1, r + 1))
+        for picked in combinations(range(1, r + 1), rp)
+    ]
 
 
 def admissible_rows(r: int, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -37,14 +46,7 @@ def admissible_rows(r: int, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     if r < 2 or n < 1:
         raise DomainError("requires r >= 2 and n >= 1")
 
-    def block(rp: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        rows = [
-            tuple(1 if i in picked else 0 for i in range(1, r + 1))
-            for picked in combinations(range(1, r + 1), rp)
-        ]
-        return product(rows, repeat=n)
-
-    return chain.from_iterable(map(block, range(1, r)))
+    return chain.from_iterable(product(pick_rows(r, rp), repeat=n) for rp in range(1, r))
 
 
 def admissible_types(r: int, n: int) -> tuple[ParabolicType, ...]:
@@ -95,21 +97,21 @@ class ChamberInvariant:
 
 
 def fingerprint_floors(rows: Sequence[Sequence[int]], d: int, q: int) -> Iterator[int]:
-    """The fingerprint of the weights rows / q, lazily: floor((r'dq + L) / (rq)) per pattern.
+    """The fingerprint of the weights rows / q, lazily: (L + shift) // width per pattern.
 
-    L runs over the integer wall levels of the numerator rows, in canonical order.
+    L runs over the integer wall levels of the numerator rows, in canonical
+    order, and (shift, width) is each subrank's ``wall_grid`` for degree d.
     """
-    rq = len(rows[0]) * q
+    r = len(rows[0])
     return chain.from_iterable(
-        map(rq.__rfloordiv__, map((rp * d * q).__add__, levels))
+        map(width.__rfloordiv__, map(shift.__add__, levels))
         for rp, _, levels in row_levels(rows)
+        for shift, width in [wall_grid(r, rp, q, d)]
     )
 
 
 def chamber_fingerprint(r: int, w: WeightSystem, d: int) -> tuple[int, ...]:
     """The extremal subdegrees ``chamber_invariant`` reports, from the wall levels."""
-    if r < 2:
-        raise DomainError("requires r >= 2 and n >= 1")
     if r != w.rank:
         raise DomainError("rank mismatch")
     q = level_denominator(w)
@@ -158,30 +160,26 @@ def wall_crossings(
 
     One pass per subrank: each system's levels are read once, the endpoints
     are tested for a scanned wall by ``first_on_wall``, and picks are built
-    only for the patterns whose floors differ: L // q for every wall, and
-    the fingerprint's (r'dq + L) // rq for the relevant ones, since only
-    those patterns have a scanned wall strictly between their two levels.
+    only for the patterns whose floors (L + shift) // width on the
+    ``wall_grid`` differ, since only those have a scanned wall strictly
+    between their two levels.
     """
     if w1.rank != w2.rank or w1.npoints != w2.npoints:
         raise DomainError("weight systems must share rank and point count")
     if w1.rank != r:
         raise DomainError("rank mismatch")
     n = w1.npoints
-    scanned = d if relevant_only else None
     q = level_denominator(w1, w2)
-    # the scanned walls of subrank r' are the m with m + offset = k * step for
-    # an integer k, that is the levels L with L + offset * q = k * width
-    step = r if relevant_only else 1
-    width = step * q
 
     def block(pair) -> list[tuple[int, tuple[tuple[int, ...], ...], range]]:
         (rp, picks, levels1), (_, _, levels2) = pair
         levels1, levels2 = list(levels1), list(levels2)
+        shift, width = wall_grid(r, rp, q, d if relevant_only else None)
         hits = []
         for label, levels in (("first", levels1), ("second", levels2)):
-            hit = first_on_wall(levels, rp, r, q, scanned)
-            if hit is not None:
-                hits.append((hit[0], label, hit[1]))
+            index = first_on_wall(levels, shift, width)
+            if index is not None:
+                hits.append((index, label, levels[index]))
         if hits:
             # the earliest pattern; on a tie "first" sorts before "second"
             index, label, level = min(hits)
@@ -189,8 +187,6 @@ def wall_crossings(
                 f"{label} weight system lies on wall "
                 f"(subrank {rp}, picks {pattern_at(picks, n, index)}, level {level // q})"
             )
-        offset = rp * d if relevant_only else 0
-        shift = offset * q
         floors1 = list(map(width.__rfloordiv__, map(shift.__add__, levels1)))
         floors2 = list(map(width.__rfloordiv__, map(shift.__add__, levels2)))
         differ = list(map(ne, floors1, floors2))
@@ -199,8 +195,9 @@ def wall_crossings(
             compress(floors1, differ),
             compress(floors2, differ),
         )
-        # no endpoint is on a scanned wall, so the k strictly between two
-        # floors are low + 1 .. high, at m = k * step - offset
+        # the scanned walls are the m = k * step - offset for an integer k; no
+        # endpoint is on one, so the k strictly between two floors are low + 1 .. high
+        step, offset = width // q, shift // q
         first = step - offset
         return [
             (rp, combo, range(min(f1, f2) * step + first, max(f1, f2) * step + first, step))

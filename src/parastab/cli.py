@@ -39,6 +39,7 @@ from .autgroup import (
 )
 from .chamber import (
     chamber_fingerprint,
+    pick_rows,
     same_numerical_chamber,
     subdegree_bounds,
     wall_crossings,
@@ -48,7 +49,7 @@ from .local_matrix import (
     Laurent,
     LaurentMatrix,
     hecke_conjugation_check,
-    is_inner,
+    inner_factor,
     is_pure_tensor,
     mp_closed_form,
     rank1_factor,
@@ -391,12 +392,6 @@ class _Json(str):
     """JSON text already encoded, which ``_emit`` writes verbatim as a top-level value."""
 
 
-def _require_walls(r: int) -> None:
-    """Wall levels need a proper subrank: the wall commands refuse rank 1 like the fingerprint."""
-    if r < 2:
-        raise DomainError("requires r >= 2 and n >= 1")
-
-
 def _ser_walls(
     r: int, w1: WeightSystem, w2: WeightSystem, d: int, relevant_only: bool
 ) -> tuple[int, _Json]:
@@ -426,10 +421,7 @@ def _ser_types(r: int, n: int) -> _Json:
     """The text of ``list(admissible_rows(r, n))``: per subrank, the n-fold product of row texts."""
 
     def block(rp: int):
-        rows = [
-            "[%s]" % ",".join("1" if i in picked else "0" for i in range(1, r + 1))
-            for picked in combinations(range(1, r + 1), rp)
-        ]
+        rows = ["[%s]" % ",".join(map(str, row)) for row in pick_rows(r, rp)]
         return map(",".join, product(rows, repeat=n))
 
     return _Json("[[%s]]" % "],[".join(chain.from_iterable(map(block, range(1, r)))))
@@ -500,11 +492,10 @@ def _cmd_same_chamber(args) -> dict:
     doc1, doc2 = _load(args)
     _agree(doc1, doc2, "r", "degree")
     r, w1, w2, d = doc1.r, doc1.weights, doc2.weights, doc1.degree
-    _require_walls(r)
     try:
         count, walls = _ser_walls(r, w1, w2, d, True)
     except DomainError:
-        # an endpoint on a relevant wall: compare the fingerprints themselves
+        # an endpoint on a relevant wall: compare the fingerprints (rank 1 raises there too)
         return {"same": same_numerical_chamber(r, w1, w2, d), "degree": d, "walls": None}
     # off relevant walls, the fingerprints agree exactly when no relevant wall lies between
     return {"same": count == 0, "degree": d, "walls": walls}
@@ -517,7 +508,6 @@ def _cmd_same_chamber(args) -> dict:
 def _cmd_walls(args) -> dict:
     doc1, doc2 = _load(args)
     _agree(doc1, doc2, "r", "degree")
-    _require_walls(doc1.r)
     count, walls = _ser_walls(doc1.r, doc1.weights, doc2.weights, doc1.degree, not args.all)
     return {"degree": doc1.degree, "count": count, "walls": walls}
 
@@ -525,7 +515,6 @@ def _cmd_walls(args) -> dict:
 @_command("generic", "wall membership tests", "doc")
 def _cmd_generic(args) -> dict:
     doc = _load(args)
-    _require_walls(doc.r)
     blanket = is_generic(doc.weights)
     # degree-relevant walls are walls, so off every wall there is none to find
     relative = blanket if blanket else is_degree_generic(doc.weights, doc.degree)
@@ -690,8 +679,10 @@ def _cmd_matrix_mp(args) -> dict:
     product = mp_closed_form(a, b)
     payload: dict = {"n": a.nrows, "mp": product}
     if args.check_inner:
-        payload["pure_tensor"] = is_pure_tensor(product) is not None
-        payload["inner_matrix"] = is_inner(product)
+        # one factorization answers both: conjugation by A is a pure tensor with B = A^-1
+        pair = is_pure_tensor(product)
+        payload["pure_tensor"] = pair is not None
+        payload["inner_matrix"] = None if pair is None else inner_factor(pair)
         payload["inner"] = payload["inner_matrix"] is not None
     return payload
 

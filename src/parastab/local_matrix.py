@@ -694,17 +694,19 @@ def inner_trace_conditions(m: LaurentMatrix) -> bool:
     return True
 
 
-def is_inner(m: LaurentMatrix) -> Optional[LaurentMatrix]:
-    """Extract A when M is conjugation by A; None otherwise."""
-    pair = is_pure_tensor(m)
-    if pair is None:
-        return None
+def inner_factor(pair: tuple[LaurentMatrix, LaurentMatrix]) -> Optional[LaurentMatrix]:
+    """A when the factors (A, B) of ``is_pure_tensor`` are inverse, so M is conjugation by A."""
     a, b = pair
-    n = a.nrows
-    ident = LaurentMatrix.identity(n)
+    ident = LaurentMatrix.identity(a.nrows)
     if a @ b != ident or b @ a != ident:
         return None
     return a
+
+
+def is_inner(m: LaurentMatrix) -> Optional[LaurentMatrix]:
+    """Extract A when M is conjugation by A; None otherwise."""
+    pair = is_pure_tensor(m)
+    return None if pair is None else inner_factor(pair)
 
 
 # ---------------------------------------------------------------------------

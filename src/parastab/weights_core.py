@@ -280,9 +280,13 @@ def row_levels(
 
     The levels run over one pick per point in lexicographic order; each is
     r' * (sum of all entries) - r * (sum of picked entries), so on
-    ``numerator_rows(w, q)`` it is q times the rational wall level.
+    ``numerator_rows(w, q)`` it is q times the rational wall level.  Walls
+    need a proper subrank, so rank 1 is refused here, at the one entry to the
+    levels.
     """
     r = len(rows[0])
+    if r < 2:
+        raise DomainError("requires r >= 2 and n >= 1")
     total = sum(map(sum, rows))
 
     def block(rp: int) -> tuple[int, tuple[tuple[int, ...], ...], Iterator[int]]:
@@ -319,24 +323,26 @@ def wall_values(
         yield rp, combo, Fraction(level, q)
 
 
-def first_on_wall(
-    levels: Iterable[int], rp: int, r: int, q: int, d: Optional[int]
-) -> Optional[tuple[int, int]]:
-    """(index, L) of the first of one subrank's levels that lies on a wall, or None.
+def wall_grid(r: int, rp: int, q: int, d: Optional[int]) -> tuple[int, int]:
+    """(shift, width): a level L of subrank r' lies on a scanned wall when width divides L + shift.
 
-    L / q is a wall when it is an integer m; when d is given only walls
-    relevant for degree d count (m + r'*d divisible by r, that is
-    L = -r'*d*q mod r*q).  One pass at C speed that stops at the hit, so a
-    lazy ``row_levels`` block is read no further than needed; the copy that
-    gives L holds the levels scanned so far, at most one block.
+    With d None every wall is scanned: L / q an integer m, so (0, q).  For
+    degree d only the relevant walls are (m + r'*d divisible by r), so
+    (r'*d*q, r*q); then (L + shift) // width is the fingerprint's floor.
     """
-    modulus, target = (q, 0) if d is None else (r * q, -rp * d * q % (r * q))
-    levels, scan = tee(levels)
+    return (0, q) if d is None else (rp * d * q, r * q)
+
+
+def first_on_wall(levels: Iterable[int], shift: int, width: int) -> Optional[int]:
+    """The index of the first level L with width dividing L + shift, or None.
+
+    One pass at C speed that stops at the hit, so a lazy ``row_levels``
+    block is read no further than needed.
+    """
     try:
-        index = indexOf(map(modulus.__rmod__, scan), target)
+        return indexOf(map(width.__rmod__, levels), -shift % width)
     except ValueError:
         return None
-    return index, next(islice(levels, index, None))
 
 
 def pattern_at(
@@ -349,9 +355,11 @@ def pattern_at(
 def _first_wall(w: WeightSystem, d: Optional[int]) -> GenericityResult:
     q = level_denominator(w)
     for rp, picks, levels in row_levels(numerator_rows(w, q)):
-        hit = first_on_wall(levels, rp, w.rank, q, d)
-        if hit is not None:
-            index, level = hit
+        # the block is lazy: the copy holds the levels scanned so far, to read L back
+        levels, scan = tee(levels)
+        index = first_on_wall(scan, *wall_grid(w.rank, rp, q, d))
+        if index is not None:
+            level = next(islice(levels, index, None))
             witness = GenericityWitness(rp, pattern_at(picks, w.npoints, index), level // q)
             return GenericityResult(False, witness)
     return GenericityResult(True, None)

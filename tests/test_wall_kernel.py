@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,13 +38,17 @@ from parastab import (
     is_generic,
     iso_transforms,
     level_denominator,
+    normalize,
     numerator_rows,
     reduce_dual_rank2,
     wall_levels,
     wall_values,
     walls_crossed,
     weight_system,
+    weights_core,
 )
+from parastab.chamber import wall_crossings
+from parastab.weights_core import first_on_wall, wall_grid
 
 F = Fraction
 # r in 2..5 and n in 1..4; the per-pattern path takes about a second at
@@ -412,3 +417,92 @@ def test_iso_rank2_dual_folds_onto_a_twist():
     assert apply_to_weights(plain_dual, MIXED) == dual
     assert reduce_dual_rank2(plain_dual, 1) == NumTransform((0, 1), 1, -1, (0, 0))
     assert found == (NumTransform((0, 1), 1, -1, (0, 0)), NumTransform((0, 1), 1, 0, (1, 1)))
+
+
+RANK1 = weight_system([[F(1, 3)], [F(1, 2)]])
+RANK1_OTHER = weight_system([[F(1, 4)], [F(2, 3)]])
+RANK_ERROR = "requires r >= 2 and n >= 1"
+
+
+def test_rank_one_is_refused_by_every_wall_scan():
+    """Walls need a proper subrank, so the level kernel refuses rank 1 for all its readers."""
+    scans = [
+        lambda: is_generic(RANK1),
+        lambda: is_degree_generic(RANK1, 0),
+        lambda: list(wall_levels(RANK1, 6)),
+        lambda: list(wall_values(RANK1)),
+        lambda: list(wall_crossings(1, RANK1, RANK1_OTHER, 0)),
+        lambda: list(wall_crossings(1, RANK1, RANK1_OTHER, 0, relevant_only=False)),
+        lambda: walls_crossed(1, RANK1, RANK1_OTHER, 0),
+        lambda: walls_crossed(1, RANK1, RANK1_OTHER, 0, relevant_only=False),
+        lambda: chamber_fingerprint(1, RANK1, 0),
+    ]
+    for scan in scans:
+        with pytest.raises(DomainError, match=RANK_ERROR):
+            scan()
+
+
+def test_rank_one_still_transforms():
+    """The row scaling is shared with the transforms, which stay defined at rank 1."""
+    assert normalize(RANK1).weights == ((F(0),), (F(0),))
+    swap = NumTransform((1, 0), -1, 1, (0, 0))
+    assert apply_to_weights(swap, RANK1) == oracles.apply_to_weights(swap, RANK1)
+    word = json.dumps({"perm": [1, 0], "sign": -1, "tdeg": 1, "hecke": [0, 0]})
+    code, out = run(["transform", "--word", word], {
+        "r": 1, "degree": 0,
+        "points": [{"label": "a", "weights": ["1/3"]}, {"label": "b", "weights": ["1/2"]}],
+    })
+    assert code == 0
+    assert json.loads(out)["weights"] == [["0"], ["0"]]
+
+
+def bounded(levels, limit=10**5):
+    """The levels, failing instead of reading on without end past ``limit`` of them."""
+    for i, level in enumerate(levels):
+        if i == limit:
+            raise AssertionError("the scan read far past its hit")
+        yield level
+
+
+def test_first_on_wall_stops_at_the_hit():
+    levels = count(5)
+    # width 7 divides L + 3 first at L = 11, the seventh level
+    assert first_on_wall(bounded(levels), 3, 7) == 6
+    assert next(levels) == 12
+    assert first_on_wall(iter([1, 2, 3]), 0, 7) is None
+    assert wall_grid(3, 2, 5, None) == (0, 5)
+    assert wall_grid(3, 2, 5, -1) == (-10, 15)
+
+
+R4_DEEP = weight_system([
+    [F(1, 12), F(7, 24), F(5, 12), F(17, 24)],
+    [F(1, 8), F(5, 12), F(5, 8), F(3, 4)],
+    [F(5, 24), F(11, 24), F(17, 24), F(23, 24)],
+])
+
+
+@pytest.mark.parametrize("d", [None, 1, 2])
+def test_genericity_reads_no_level_past_the_hit(monkeypatch, d):
+    """A lazy block is read up to its first wall only: every earlier block whole, then index + 1."""
+    real = weights_core.row_levels
+    read: list[int] = []
+
+    def counted(levels, k):
+        for level in levels:
+            read[k] += 1
+            yield level
+
+    def counting_row_levels(rows):
+        for rp, picks, levels in real(rows):
+            read.append(0)
+            yield rp, picks, counted(levels, len(read) - 1)
+
+    monkeypatch.setattr(weights_core, "row_levels", counting_row_levels)
+    result = is_generic(R4_DEEP) if d is None else is_degree_generic(R4_DEEP, d)
+    witness = result.witness
+    assert witness is not None and witness.subrank == 2
+    picks = list(combinations(range(1, 5), witness.subrank))
+    index = list(product(picks, repeat=3)).index(witness.pattern)
+    # the hit sits mid-block, so a scan that read the whole block would show here
+    assert 0 < index < comb(4, 2) ** 3 - 1
+    assert read == [comb(4, 1) ** 3, index + 1]
