@@ -156,7 +156,6 @@ class AutResult:
     degree_generic: bool
     chamber_genus: int
     classification_genus: int
-    lift_faithful_genus: int = LIFT_FAITHFUL_MIN_GENUS
 
     @property
     def genus_sufficient(self) -> bool:

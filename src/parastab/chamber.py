@@ -8,7 +8,6 @@ the same semistable data at that degree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, compress, product
 from math import comb
@@ -38,7 +37,7 @@ def pick_rows(r: int, rp: int) -> list[tuple[int, ...]]:
 
 
 def admissible_rows(r: int, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The 0/1 rows of every proper pattern, lazily, in the order of ``admissible_types``.
+    """The 0/1 rows of every proper pattern, lazily, by subrank then per-point picks.
 
     Per subrank r', one 0/1 row per pick of ``row_levels`` and their n-fold
     product, so no pattern is built or validated as a ``ParabolicType``.
@@ -47,11 +46,6 @@ def admissible_rows(r: int, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         raise DomainError("requires r >= 2 and n >= 1")
 
     return chain.from_iterable(product(pick_rows(r, rp), repeat=n) for rp in range(1, r))
-
-
-def admissible_types(r: int, n: int) -> tuple[ParabolicType, ...]:
-    """All proper patterns, ordered by subrank then per-point index picks."""
-    return tuple(map(ParabolicType, admissible_rows(r, n)))
 
 
 def count_admissible(r: int, n: int) -> int:
@@ -79,23 +73,6 @@ def subdegree_bounds(r: int, d: int, n: int) -> tuple[Fraction, Fraction]:
     return lower, upper
 
 
-@dataclass(frozen=True)
-class ChamberInvariant:
-    """Extremal subdegrees over all admissible patterns, in canonical order."""
-
-    r: int
-    n: int
-    d: int
-    types: tuple[ParabolicType, ...]
-    values: tuple[int, ...]
-
-    def as_pairs(self) -> tuple[tuple[ParabolicType, int], ...]:
-        return tuple(zip(self.types, self.values))
-
-    def same_context(self, other: "ChamberInvariant") -> bool:
-        return (self.r, self.n, self.d) == (other.r, other.n, other.d)
-
-
 def fingerprint_floors(rows: Sequence[Sequence[int]], d: int, q: int) -> Iterator[int]:
     """The fingerprint of the weights rows / q, lazily: (L + shift) // width per pattern.
 
@@ -111,33 +88,17 @@ def fingerprint_floors(rows: Sequence[Sequence[int]], d: int, q: int) -> Iterato
 
 
 def chamber_fingerprint(r: int, w: WeightSystem, d: int) -> tuple[int, ...]:
-    """The extremal subdegrees ``chamber_invariant`` reports, from the wall levels."""
+    """``max_subdegree`` of every admissible pattern in canonical order, from the wall levels."""
     if r != w.rank:
         raise DomainError("rank mismatch")
     q = level_denominator(w)
     return tuple(fingerprint_floors(numerator_rows(w, q), d, q))
 
 
-def chamber_invariant(r: int, w: WeightSystem, d: int) -> ChamberInvariant:
-    values = chamber_fingerprint(r, w, d)
-    types = admissible_types(r, w.npoints)
-    return ChamberInvariant(r=r, n=w.npoints, d=d, types=types, values=values)
-
-
 def same_numerical_chamber(r: int, w1: WeightSystem, w2: WeightSystem, d: int) -> bool:
     if w1.rank != w2.rank or w1.npoints != w2.npoints:
         raise DomainError("weight systems must share rank and point count")
     return chamber_fingerprint(r, w1, d) == chamber_fingerprint(r, w2, d)
-
-
-@dataclass(frozen=True)
-class Wall:
-    """One crossed wall: subrank, 1-based index picks per point, integer level."""
-
-    subrank: int
-    pattern: tuple[tuple[int, ...], ...]
-    m: int
-    relevant: bool
 
 
 def wall_crossings(
@@ -207,24 +168,3 @@ def wall_crossings(
     blocks = zip(row_levels(numerator_rows(w1, q)), row_levels(numerator_rows(w2, q)))
     # a plain function returning a lazy chain: a subrank is scanned when reached
     return chain.from_iterable(map(block, blocks))
-
-
-def walls_crossed(
-    r: int,
-    w1: WeightSystem,
-    w2: WeightSystem,
-    d: int,
-    relevant_only: bool = True,
-) -> tuple[Wall, ...]:
-    """Integer wall levels strictly between the two systems' wall values.
-
-    A level m is relevant for degree d when m + r'*d is divisible by r; only
-    those walls change the chamber invariant.  Raises when an endpoint sits
-    exactly on a scanned wall, since sidedness is then undefined.  One
-    ``Wall`` per level of each ``wall_crossings`` range.
-    """
-    return tuple(
-        Wall(rp, combo, m, relevant_only or (m + rp * d) % r == 0)
-        for rp, combo, levels in wall_crossings(r, w1, w2, d, relevant_only)
-        for m in levels
-    )

@@ -77,6 +77,7 @@ from .weights_core import (
     owt,
     pdeg,
     s_min,
+    wall_grid,
     weight_system,
 )
 
@@ -399,18 +400,21 @@ def _ser_walls(
 
     One formatted string per wall, straight from the crossing ranges, with
     one picks text per crossing pattern, so no wall dict is built for the
-    encoder to walk.
+    encoder to walk.  An m is relevant when it lies on its subrank's
+    ``wall_grid`` for degree d at q = 1.
     """
     pick_text = {
         c: "[%s]" % ",".join(map(str, c))
         for rp in range(1, r)
         for c in combinations(range(1, r + 1), rp)
     }.__getitem__
+    grid = {rp: wall_grid(r, rp, 1, d) for rp in range(1, r)}
     boolean = ("false", "true")
     walls = [
         f'{{"m":{m},"picks":[{picks}],'
-        f'"relevant":{boolean[relevant_only or (m + rp * d) % r == 0]},"subrank":{rp}}}'
+        f'"relevant":{boolean[relevant_only or (m + shift) % width == 0]},"subrank":{rp}}}'
         for rp, combo, levels in wall_crossings(r, w1, w2, d, relevant_only)
+        for shift, width in [grid[rp]]
         for picks in [",".join(map(pick_text, combo))]
         for m in levels
     ]
@@ -613,7 +617,6 @@ def _cmd_aut(args) -> dict:
         strict=args.strict,
     )
     payload = _fields(result)
-    del payload["lift_faithful_genus"]
     payload["degree"] = payload.pop("d")
     payload["genus_sufficient"] = result.genus_sufficient
     return payload

@@ -5,8 +5,8 @@ matrices acting on row-major vectorizations.  A sign pattern of z-exponents
 (one per index pair) twists conjugation so that the parabolic stalk algebra
 maps onto plain matrices; the twisted conjugation matrix of a pair (A, B)
 is integral exactly when conjugation preserves that algebra.  All
-computations are exact over the rationals; series truncation appears only
-in the inverse of a non-monomial determinant and failures are explicit.
+computations are exact over the rationals and no series is truncated; the
+Hecke check only certifies the precision its report declares.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import product
 from math import lcm
 from operator import mul
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import DomainError, PrecisionError
 
@@ -185,85 +185,10 @@ def laurent_gcd(values: Sequence[Laurent]) -> Laurent:
     return acc.shift(vmin)
 
 
-def series_inverse(unit: Laurent, precision: int) -> Laurent:
-    """Inverse of a power series with nonzero constant term, modulo z^precision."""
-    if precision < 1:
-        raise DomainError("precision must be positive")
-    c0 = unit.coeff(0)
-    if not c0 or (unit.valuation() is not None and unit.valuation() < 0):
-        raise DomainError("series inverse needs a unit power series")
-    inv = {0: 1 / c0}
-    for m in range(1, precision):
-        acc = Fraction(0)
-        for i in range(1, m + 1):
-            ci = unit.coeff(i)
-            if ci:
-                acc += ci * inv.get(m - i, Fraction(0))
-        if acc:
-            inv[m] = -acc / c0
-    return Laurent(inv)
-
-
-@dataclass(frozen=True)
-class TruncLaurent:
-    """A Laurent value known exactly below ``bound`` (None means fully exact)."""
-
-    known: Laurent
-    bound: Optional[int]
-
-    @staticmethod
-    def exact(value: Laurent) -> "TruncLaurent":
-        return TruncLaurent(value, None)
-
-    def _clip(self) -> "TruncLaurent":
-        if self.bound is None:
-            return self
-        return TruncLaurent(self.known.truncated(self.bound), self.bound)
-
-    def _vlow(self) -> Optional[int]:
-        """Lower bound for the true valuation; None means the value is exactly 0."""
-        cands = []
-        if not self.known.is_zero():
-            cands.append(self.known.valuation())
-        if self.bound is not None:
-            cands.append(self.bound)
-        return min(cands) if cands else None
-
-    def __add__(self, other: "TruncLaurent") -> "TruncLaurent":
-        bound = _min_bound(self.bound, other.bound)
-        return TruncLaurent(self.known + other.known, bound)._clip()
-
-    def __mul__(self, other: "TruncLaurent") -> "TruncLaurent":
-        bounds = []
-        if self.bound is not None:
-            v = other._vlow()
-            bounds.append(self.bound + v if v is not None else None)
-        if other.bound is not None:
-            v = self._vlow()
-            bounds.append(other.bound + v if v is not None else None)
-        bounds = [b for b in bounds if b is not None]
-        bound = min(bounds) if bounds else None
-        return TruncLaurent(self.known * other.known, bound)._clip()
-
-    def negative_part(self) -> dict[int, Fraction]:
-        """Certified coefficients at negative exponents; raises if uncertifiable."""
-        if self.bound is not None:
-            _certify(self.bound)
-        return {e: c for e, c in self.known.coeffs.items() if e < 0}
-
-
 def _certify(bound: int) -> None:
     """A value known below ``bound`` has certified negative part only if bound > 0."""
     if bound <= 0:
         raise PrecisionError(f"cannot certify exponents in [{bound}, 0); raise the precision")
-
-
-def _min_bound(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 @dataclass(frozen=True)
@@ -301,9 +226,6 @@ class LaurentMatrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0])
-
-    def entry(self, i: int, j: int) -> Laurent:
-        return self.rows[i][j]
 
     def transpose(self) -> "LaurentMatrix":
         return LaurentMatrix(tuple(zip(*self.rows)))
@@ -511,25 +433,10 @@ def inverse_exact(m: LaurentMatrix) -> LaurentMatrix:
     if det.is_zero():
         raise DomainError("matrix is singular")
     if not det.is_monomial():
-        raise DomainError("determinant is not a monomial; use inverse_series")
+        raise DomainError("determinant is not a monomial")
     exp = det.valuation()
     inv_det = Laurent.z(-exp, 1 / det.coeff(exp))
     return LaurentMatrix.build([[v * inv_det for v in row] for row in adj.rows])
-
-
-def inverse_series(m: LaurentMatrix, precision: int) -> list[list[TruncLaurent]]:
-    """Inverse with entries known exactly below a tracked exponent bound."""
-    det, adj = m.det_adjugate
-    if det.is_zero():
-        raise DomainError("matrix is singular")
-    v = det.valuation()
-    unit = det.shift(-v)
-    inv_unit = TruncLaurent(series_inverse(unit, precision), precision)
-    shift = TruncLaurent.exact(Laurent.z(-v))
-    return [
-        [TruncLaurent.exact(entry) * shift * inv_unit for entry in row]
-        for row in adj.rows
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +463,6 @@ def sigma_pair(n: int, p: int, q: int) -> tuple[int, int]:
     return tau(n, i, j), tau(n, l, k)
 
 
-@dataclass(frozen=True)
-class IndexMaps:
-    n: int
-    tau: Callable[[int, int], int]
-    tau_inv: Callable[[int], tuple[int, int]]
-    sigma: Callable[[int, int], tuple[int, int]]
-    xi: tuple[tuple[int, ...], ...]
-
-
 def xi_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     """Exponent pattern: entry (tau(i,j), tau(k,l)) equals -[j<i] + [l<k]."""
     if n < 1:
@@ -579,16 +477,6 @@ def xi_matrix(n: int) -> tuple[tuple[int, ...], ...]:
             row.append(-(1 if j < i else 0) + (1 if l < k else 0))
         out.append(tuple(row))
     return tuple(out)
-
-
-def index_maps(n: int) -> IndexMaps:
-    return IndexMaps(
-        n=n,
-        tau=lambda i, j: tau(n, i, j),
-        tau_inv=lambda p: tau_inv(n, p),
-        sigma=lambda p, q: sigma_pair(n, p, q),
-        xi=xi_matrix(n),
-    )
 
 
 def sigma_reshuffle(m: LaurentMatrix) -> LaurentMatrix:
@@ -675,23 +563,6 @@ def is_pure_tensor(
         tuple(tuple(row[tau(n, c, d)] for d in range(n)) for c in range(n))
     )
     return a, b
-
-
-def inner_trace_conditions(m: LaurentMatrix) -> bool:
-    """Both diagonal-block sum conditions that cut inner conjugations."""
-    size = m.nrows
-    n = _isqrt_exact(size)
-    for i in range(n):
-        for j in range(n):
-            want = L_ONE if i == j else L_ZERO
-            acc1 = L_ZERO
-            acc2 = L_ZERO
-            for k in range(n):
-                acc1 = acc1 + m.rows[tau(n, i, j)][tau(n, k, k)]
-                acc2 = acc2 + m.rows[tau(n, k, k)][tau(n, i, j)]
-            if acc1 != want or acc2 != want:
-                return False
-    return True
 
 
 def inner_factor(pair: tuple[LaurentMatrix, LaurentMatrix]) -> Optional[LaurentMatrix]:

@@ -299,30 +299,6 @@ def row_levels(
     return map(block, range(1, r))
 
 
-def wall_levels(
-    w: WeightSystem, q: int
-) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], int]]:
-    """Yield (subrank, index picks, L) over every wall family, in canonical order.
-
-    L = q * (r' * (sum of all weights) - r * (sum of picked weights)) is an
-    integer when q is a multiple of ``level_denominator(w)``; the level is a
-    wall exactly when q divides L.  Patterns run by subrank, then by the
-    per-point 1-based picks in lexicographic order, as in ``admissible_types``.
-    """
-    for rp, picks, levels in row_levels(numerator_rows(w, q)):
-        for combo, level in zip(product(picks, repeat=w.npoints), levels):
-            yield rp, combo, level
-
-
-def wall_values(
-    w: WeightSystem,
-) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], Fraction]]:
-    """``wall_levels`` with each level as the exact rational L / q."""
-    q = level_denominator(w)
-    for rp, combo, level in wall_levels(w, q):
-        yield rp, combo, Fraction(level, q)
-
-
 def wall_grid(r: int, rp: int, q: int, d: Optional[int]) -> tuple[int, int]:
     """(shift, width): a level L of subrank r' lies on a scanned wall when width divides L + shift.
 

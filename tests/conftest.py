@@ -9,7 +9,10 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 
+from oracles import Wall
 from parastab import NumTransform, WeightSystem, is_generic, weight_system
+from parastab.chamber import wall_crossings
+from parastab.weights_core import wall_grid
 
 settings.register_profile(
     "ci",
@@ -77,4 +80,18 @@ def rand_transform(rng: random.Random, r: int, n: int) -> NumTransform:
         rng.choice((1, -1)),
         rng.randrange(-4, 5),
         tuple(rng.randrange(r) for _ in range(n)),
+    )
+
+
+def crossed_walls(r, w1, w2, d, relevant_only=True) -> tuple[Wall, ...]:
+    """One oracle ``Wall`` per level m of each ``wall_crossings`` range.
+
+    An m is relevant when it lies on its subrank's ``wall_grid`` for degree
+    d at q = 1, as ``walls --all`` reports it.
+    """
+    return tuple(
+        Wall(rp, picks, m, (m + shift) % width == 0)
+        for rp, picks, levels in wall_crossings(r, w1, w2, d, relevant_only)
+        for shift, width in [wall_grid(r, rp, 1, d)]
+        for m in levels
     )

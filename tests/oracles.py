@@ -6,9 +6,11 @@ compare the two.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
-from typing import Iterator
+from functools import cache
+from itertools import combinations, permutations, product
+from typing import Iterator, Optional
 
 from parastab import (
     DomainError,
@@ -18,10 +20,8 @@ from parastab import (
     Laurent,
     LaurentMatrix,
     NumTransform,
-    TruncLaurent,
-    Wall,
+    ParabolicType,
     WeightSystem,
-    admissible_types,
     apply_to_degree,
     is_parabolic,
     max_subdegree,
@@ -30,7 +30,7 @@ from parastab import (
     reduce_dual_rank2,
     twist,
 )
-from parastab.local_matrix import L_ONE, L_ZERO, _dot, series_inverse, tau
+from parastab.local_matrix import L_ONE, L_ZERO, _certify, _dot, tau
 
 
 def det(m: LaurentMatrix) -> Laurent:
@@ -101,6 +101,81 @@ def berkowitz_det_adjugate(m: LaurentMatrix) -> tuple[Laurent, LaurentMatrix]:
     if n % 2:
         return -poly[n], q
     return poly[n], LaurentMatrix.build([[-v for v in row] for row in q.rows])
+
+
+def series_inverse(unit: Laurent, precision: int) -> Laurent:
+    """Inverse of a power series with nonzero constant term, modulo z^precision."""
+    if precision < 1:
+        raise DomainError("precision must be positive")
+    c0 = unit.coeff(0)
+    if not c0 or (unit.valuation() is not None and unit.valuation() < 0):
+        raise DomainError("series inverse needs a unit power series")
+    inv = {0: 1 / c0}
+    for m in range(1, precision):
+        acc = Fraction(0)
+        for i in range(1, m + 1):
+            ci = unit.coeff(i)
+            if ci:
+                acc += ci * inv.get(m - i, Fraction(0))
+        if acc:
+            inv[m] = -acc / c0
+    return Laurent(inv)
+
+
+def _min_bound(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+@dataclass(frozen=True)
+class TruncLaurent:
+    """A Laurent value known exactly below ``bound`` (None means fully exact)."""
+
+    known: Laurent
+    bound: Optional[int]
+
+    @staticmethod
+    def exact(value: Laurent) -> "TruncLaurent":
+        return TruncLaurent(value, None)
+
+    def _clip(self) -> "TruncLaurent":
+        if self.bound is None:
+            return self
+        return TruncLaurent(self.known.truncated(self.bound), self.bound)
+
+    def _vlow(self) -> Optional[int]:
+        """Lower bound for the true valuation; None means the value is exactly 0."""
+        cands = []
+        if not self.known.is_zero():
+            cands.append(self.known.valuation())
+        if self.bound is not None:
+            cands.append(self.bound)
+        return min(cands) if cands else None
+
+    def __add__(self, other: "TruncLaurent") -> "TruncLaurent":
+        bound = _min_bound(self.bound, other.bound)
+        return TruncLaurent(self.known + other.known, bound)._clip()
+
+    def __mul__(self, other: "TruncLaurent") -> "TruncLaurent":
+        bounds = []
+        if self.bound is not None:
+            v = other._vlow()
+            bounds.append(self.bound + v if v is not None else None)
+        if other.bound is not None:
+            v = self._vlow()
+            bounds.append(other.bound + v if v is not None else None)
+        bounds = [b for b in bounds if b is not None]
+        bound = min(bounds) if bounds else None
+        return TruncLaurent(self.known * other.known, bound)._clip()
+
+    def negative_part(self) -> dict[int, Fraction]:
+        """Certified coefficients at negative exponents; raises if uncertifiable."""
+        if self.bound is not None:
+            _certify(self.bound)
+        return {e: c for e, c in self.known.coeffs.items() if e < 0}
 
 
 def hecke_conjugation_check(a: LaurentMatrix, precision: int = 24) -> HeckeReport:
@@ -177,6 +252,22 @@ def mp_matrix(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     return LaurentMatrix(tuple(tuple(row) for row in out))
 
 
+@cache
+def admissible_types(r: int, n: int) -> tuple[ParabolicType, ...]:
+    """All proper patterns, validated, by subrank then per-point 1-based index picks.
+
+    Cached: the patterns depend only on (r, n), and the oracles ask for them
+    once per example.
+    """
+    if r < 2 or n < 1:
+        raise DomainError("requires r >= 2 and n >= 1")
+    return tuple(
+        ParabolicType.from_indices(r, picks)
+        for rp in range(1, r)
+        for picks in product(combinations(range(1, r + 1), rp), repeat=n)
+    )
+
+
 def fingerprint(r: int, w: WeightSystem, d: int) -> tuple[int, ...]:
     """One max_subdegree per validated admissible pattern."""
     return tuple(max_subdegree(r, w, d, t) for t in admissible_types(r, w.npoints))
@@ -197,6 +288,16 @@ def first_wall(w: WeightSystem, d=None) -> GenericityResult:
         if value.denominator == 1 and (d is None or (int(value) + rp * d) % w.rank == 0):
             return GenericityResult(False, GenericityWitness(rp, picks, int(value)))
     return GenericityResult(True, None)
+
+
+@dataclass(frozen=True)
+class Wall:
+    """One crossed wall: subrank, 1-based index picks per point, integer level."""
+
+    subrank: int
+    pattern: tuple[tuple[int, ...], ...]
+    m: int
+    relevant: bool
 
 
 def walls_crossed(r, w1, w2, d, relevant_only=True) -> tuple[Wall, ...]:

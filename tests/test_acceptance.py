@@ -20,10 +20,9 @@ from parastab import (
     Laurent,
     LaurentMatrix,
     NumTransform,
-    admissible_types,
     apply_to_degree,
     apply_to_weights,
-    chamber_invariant,
+    chamber_fingerprint,
     compose,
     cyclic_matrix,
     dim_nonreduced_stratum,
@@ -47,18 +46,18 @@ from parastab import (
     stability_check,
     subdegree_bounds,
     trivial_curve,
-    walls_crossed,
     weight_system,
     xi_matrix,
 )
 from parastab.cli import FIXTURE_CLAIMS
 from conftest import (
+    crossed_walls,
     rand_concentrated_weights,
     rand_generic_weights,
     rand_transform,
     rand_weights,
 )
-from oracles import mp_matrix
+from oracles import admissible_types, mp_matrix
 
 F = Fraction
 
@@ -111,7 +110,7 @@ def test_rank2_symmetry_classes_match_brute_force():
     # at rank 2 the dual factor is redundant, so fold to dual-free form
     from parastab import reduce_dual_rank2
 
-    ref = chamber_invariant(2, normalize(member), 0).values
+    ref = chamber_fingerprint(2, normalize(member), 0)
     survivors = set()
     for perm in ((0, 1), (1, 0)):
         for sign in (1, -1):
@@ -121,7 +120,7 @@ def test_rank2_symmetry_classes_match_brute_force():
                     if apply_to_degree(t, 0, 2) != 0:
                         continue
                     image = apply_to_weights(t, member)
-                    if chamber_invariant(2, image, 0).values == ref:
+                    if chamber_fingerprint(2, image, 0) == ref:
                         survivors.add(t if t.sign == 1 else reduce_dual_rank2(t, 0))
     assert survivors == set(result.classes)
 
@@ -296,15 +295,15 @@ def test_chamber_fingerprint_matches_wall_crossings():
             w1 = rand_generic_weights(rng, r, n)
             w2 = rand_generic_weights(rng, r, n)
 
-            inv1 = chamber_invariant(r, w1, d)
-            crossed = walls_crossed(r, w1, w2, d)
+            inv1 = chamber_fingerprint(r, w1, d)
+            crossed = crossed_walls(r, w1, w2, d)
             same = same_numerical_chamber(r, w1, w2, d)
             assert same == (len(crossed) == 0)
 
-            assert chamber_invariant(r, _translate(w1, rng), d).values == inv1.values
+            assert chamber_fingerprint(r, _translate(w1, rng), d) == inv1
 
             lower, upper = subdegree_bounds(r, d, n)
-            for value in inv1.values:
+            for value in inv1:
                 assert lower < value <= upper
 
 

@@ -12,14 +12,10 @@ from parastab import (
     Laurent,
     LaurentMatrix,
     PrecisionError,
-    TruncLaurent,
     cyclic_matrix,
     h_matrix,
     hecke_conjugation_check,
-    index_maps,
-    inner_trace_conditions,
     inverse_exact,
-    inverse_series,
     is_inner,
     is_parabolic,
     is_pure_tensor,
@@ -34,12 +30,11 @@ from parastab.local_matrix import (
     L_ZERO,
     exact_divide,
     laurent_gcd,
-    series_inverse,
     sigma_pair,
     tau,
     tau_inv,
 )
-from oracles import mp_matrix
+from oracles import TruncLaurent, mp_matrix, series_inverse
 
 F = Fraction
 
@@ -202,17 +197,6 @@ def test_inverse_exact_requires_monomial_det():
     assert m @ inverse_exact(m) == LaurentMatrix.identity(2)
 
 
-def test_inverse_series():
-    m = LaurentMatrix.build([[Laurent.const(1) - Laurent.z()]])
-    inv = inverse_series(m, 6)
-    entry = inv[0][0]
-    assert entry.bound == 6
-    for k in range(6):
-        assert entry.known.coeff(k) == 1
-    with pytest.raises(DomainError):
-        inverse_series(LaurentMatrix.build([[L_ZERO]]), 4)
-
-
 def test_tau_and_sigma_bijections():
     for n in (2, 3):
         size = n * n
@@ -246,11 +230,9 @@ def test_xi_matrix():
     for n in range(2, 6):
         for row in xi_matrix(n):
             assert set(row) <= {-1, 0, 1}
-    maps = index_maps(3)
-    assert maps.xi == xi_matrix(3)
-    assert maps.tau(1, 2) == 5
-    assert maps.tau_inv(5) == (1, 2)
-    assert maps.sigma(maps.tau(0, 1), maps.tau(1, 0)) == (maps.tau(0, 1), maps.tau(0, 1))
+    assert tau(3, 1, 2) == 5
+    assert tau_inv(3, 5) == (1, 2)
+    assert sigma_pair(3, tau(3, 0, 1), tau(3, 1, 0)) == (tau(3, 0, 1), tau(3, 0, 1))
 
 
 def test_twist_round_trip():
@@ -344,7 +326,7 @@ def test_is_pure_tensor_and_is_inner():
     assert rejections >= 15  # random 4x4 matrices essentially never split
 
 
-def test_trace_conditions_match_inverse_pairs():
+def test_inner_recognition_matches_inverse_pairs():
     rng = random.Random(37)
     checked = 0
     while checked < 25:
@@ -353,10 +335,10 @@ def test_trace_conditions_match_inverse_pairs():
             continue
         checked += 1
         b_good = inverse_exact(a)
-        assert inner_trace_conditions(a.kron(b_good.transpose()))
+        assert is_inner(a.kron(b_good.transpose())) is not None
         b_bad = b_good + LaurentMatrix.identity(2)
         expected = a @ b_bad == LaurentMatrix.identity(2) and b_bad @ a == LaurentMatrix.identity(2)
-        assert inner_trace_conditions(a.kron(b_bad.transpose())) == expected
+        assert (is_inner(a.kron(b_bad.transpose())) is not None) == expected
 
 
 def test_is_parabolic():

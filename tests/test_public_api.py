@@ -1,7 +1,9 @@
 """The public names of ``parastab``: pinned, sorted and all resolvable.
 
 A name leaves this list only when the function behind it is dead; a change
-to the list is a change to the public API and shows in this file.
+to the list is a change to the public API and shows in this file.  Retired
+duplicate paths must not come back, in the package or in the submodule that
+defined them.
 """
 
 from __future__ import annotations
@@ -9,23 +11,21 @@ from __future__ import annotations
 import parastab
 
 PUBLIC = [
-    "AutResult", "ChamberInvariant", "CurveData", "DimsResult", "DomainError",
-    "GenericityResult", "GenericityWitness", "GenusBounds", "HeckeReport", "IndexMaps",
-    "InputError", "LIFT_FAITHFUL_MIN_GENUS", "Laurent", "LaurentMatrix", "NumTransform",
-    "OrdersResult", "ParabolicType", "PrecisionError", "TruncLaurent", "Wall",
-    "WeightSystem", "act_on_rows", "admissible_rows", "admissible_types", "apply_to_degree",
-    "apply_to_weights", "automorphism_group", "candidate_transforms", "chamber_fingerprint",
-    "chamber_invariant", "compose", "concentrated_orders", "count_admissible",
-    "cyclic_matrix", "dim_nonreduced_stratum", "dims", "dual_weights", "genus_bounds",
-    "h_matrix", "hecke_conjugation_check", "hecke_weights", "identity_transform",
-    "index_maps", "inner_trace_conditions", "inverse", "inverse_exact", "inverse_series",
+    "AutResult", "CurveData", "DimsResult", "DomainError", "GenericityResult",
+    "GenericityWitness", "GenusBounds", "HeckeReport", "InputError",
+    "LIFT_FAITHFUL_MIN_GENUS", "Laurent", "LaurentMatrix", "NumTransform",
+    "OrdersResult", "ParabolicType", "PrecisionError", "WeightSystem", "act_on_rows",
+    "admissible_rows", "apply_to_degree", "apply_to_weights", "automorphism_group",
+    "candidate_transforms", "chamber_fingerprint", "compose", "concentrated_orders",
+    "count_admissible", "cyclic_matrix", "dim_nonreduced_stratum", "dims",
+    "dual_weights", "genus_bounds", "h_matrix", "hecke_conjugation_check",
+    "hecke_weights", "identity_transform", "inverse", "inverse_exact",
     "is_concentrated", "is_degree_generic", "is_dual_free", "is_generic", "is_inner",
     "is_parabolic", "is_pure_tensor", "iso_transforms", "level_denominator",
     "make_transform", "max_subdegree", "mp_closed_form", "normalize", "numerator_rows",
     "owt", "parabolic_type", "pdeg", "rank1_factor", "reduce_dual_rank2", "s_min",
     "same_numerical_chamber", "sigma_reshuffle", "stability_check", "subdegree_bounds",
-    "t_number", "trivial_curve", "twist", "wall_levels", "wall_values", "walls_crossed",
-    "weight_system", "xi_matrix",
+    "t_number", "trivial_curve", "twist", "weight_system", "xi_matrix",
 ]
 
 
@@ -37,3 +37,27 @@ def test_public_names_are_pinned_and_sorted():
 def test_every_public_name_resolves():
     missing = [name for name in parastab.__all__ if not hasattr(parastab, name)]
     assert missing == []
+
+
+# Older duplicates of the fingerprint, wall-list and Hecke-check paths, by the
+# submodule that defined them; the slow ones live on in tests/oracles.py.
+RETIRED = {
+    "chamber": (
+        "ChamberInvariant", "Wall", "admissible_types", "chamber_invariant", "walls_crossed",
+    ),
+    "weights_core": ("wall_levels", "wall_values"),
+    "local_matrix": (
+        "IndexMaps", "TruncLaurent", "index_maps", "inner_trace_conditions", "inverse_series",
+        "series_inverse",
+    ),
+}
+
+
+def test_retired_duplicates_stay_gone():
+    left = [
+        f"{module}.{name}"
+        for module, names in RETIRED.items()
+        for name in names
+        if hasattr(parastab, name) or hasattr(getattr(parastab, module), name)
+    ]
+    assert left == []

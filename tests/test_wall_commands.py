@@ -24,12 +24,12 @@ import pytest
 
 from parastab import (
     admissible_rows,
-    admissible_types,
     chamber_fingerprint,
     count_admissible,
     subdegree_bounds,
 )
 from parastab.cli import Document, main
+from oracles import admissible_types
 
 
 def doc(r: int, d: int, rows: list[str]) -> dict:

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import crossed_walls
 from test_wall_commands import run
 from parastab import (
     CurveData,
@@ -30,7 +31,6 @@ from parastab import (
     automorphism_group,
     candidate_transforms,
     chamber_fingerprint,
-    chamber_invariant,
     count_admissible,
     dual_weights,
     hecke_weights,
@@ -41,14 +41,11 @@ from parastab import (
     normalize,
     numerator_rows,
     reduce_dual_rank2,
-    wall_levels,
-    wall_values,
-    walls_crossed,
     weight_system,
     weights_core,
 )
 from parastab.chamber import wall_crossings
-from parastab.weights_core import first_on_wall, wall_grid
+from parastab.weights_core import first_on_wall, row_levels, wall_grid
 
 F = Fraction
 # r in 2..5 and n in 1..4; the per-pattern path takes about a second at
@@ -106,13 +103,14 @@ WIDE_GENERIC = weight_system(
 @example((WIDE, 3))
 def test_levels_and_fingerprint_match_per_pattern_path(case):
     w, d = case
-    old = list(oracles.levels(w))
     q = level_denominator(w)
-    assert [(rp, picks, F(level, q)) for rp, picks, level in wall_levels(w, q)] == old
-    assert list(wall_values(w)) == old
-    expected = oracles.fingerprint(w.rank, w, d)
-    assert chamber_fingerprint(w.rank, w, d) == expected
-    assert chamber_invariant(w.rank, w, d).values == expected
+    levels = [
+        (rp, combo, F(level, q))
+        for rp, picks, block in row_levels(numerator_rows(w, q))
+        for combo, level in zip(product(picks, repeat=w.npoints), block)
+    ]
+    assert levels == list(oracles.levels(w))
+    assert chamber_fingerprint(w.rank, w, d) == oracles.fingerprint(w.rank, w, d)
 
 
 @settings(max_examples=30)
@@ -145,7 +143,7 @@ def _walls_or_error(fn, *args, **kwargs):
 def test_walls_crossed_matches_fraction_levels(case, relevant_only):
     w1, w2, d = case
     r = w1.rank
-    new = _walls_or_error(walls_crossed, r, w1, w2, d, relevant_only=relevant_only)
+    new = _walls_or_error(crossed_walls, r, w1, w2, d, relevant_only=relevant_only)
     old = _walls_or_error(oracles.walls_crossed, r, w1, w2, d, relevant_only=relevant_only)
     assert new == old
 
@@ -172,9 +170,9 @@ DEEP_OTHER = weight_system(
 
 
 def both_walls(w1, w2, d, relevant_only):
-    """walls_crossed and its oracle, each as walls or as the error text; asserted equal."""
+    """The expanded crossings and their oracle, each as walls or as the error text; asserted equal."""
     r = w1.rank
-    new = _walls_or_error(walls_crossed, r, w1, w2, d, relevant_only=relevant_only)
+    new = _walls_or_error(crossed_walls, r, w1, w2, d, relevant_only=relevant_only)
     assert new == _walls_or_error(oracles.walls_crossed, r, w1, w2, d, relevant_only=relevant_only)
     return new
 
@@ -240,7 +238,7 @@ def test_aut_genericity_flags_match_first_wall(w, d, generic, degree_generic):
 
 def test_walls_crossed_on_wall_message():
     with pytest.raises(DomainError) as err:
-        walls_crossed(2, ON_WALL, MIXED, 1)
+        crossed_walls(2, ON_WALL, MIXED, 1)
     assert str(err.value) == (
         "first weight system lies on wall (subrank 1, picks ((1,), (1,)), level 1)"
     )
@@ -429,12 +427,8 @@ def test_rank_one_is_refused_by_every_wall_scan():
     scans = [
         lambda: is_generic(RANK1),
         lambda: is_degree_generic(RANK1, 0),
-        lambda: list(wall_levels(RANK1, 6)),
-        lambda: list(wall_values(RANK1)),
         lambda: list(wall_crossings(1, RANK1, RANK1_OTHER, 0)),
         lambda: list(wall_crossings(1, RANK1, RANK1_OTHER, 0, relevant_only=False)),
-        lambda: walls_crossed(1, RANK1, RANK1_OTHER, 0),
-        lambda: walls_crossed(1, RANK1, RANK1_OTHER, 0, relevant_only=False),
         lambda: chamber_fingerprint(1, RANK1, 0),
     ]
     for scan in scans:

@@ -18,16 +18,18 @@ from parastab import (
     is_concentrated,
     is_degree_generic,
     is_generic,
+    level_denominator,
     normalize,
+    numerator_rows,
     owt,
     parabolic_type,
     pdeg,
     s_min,
     stability_check,
     t_number,
-    wall_values,
     weight_system,
 )
+from parastab.weights_core import row_levels
 from conftest import rand_generic_weights, rand_weights
 
 F = Fraction
@@ -223,8 +225,10 @@ def test_wall_values_bound():
     for _ in range(20):
         r, n = rng.randrange(2, 5), rng.randrange(1, 4)
         w = rand_weights(rng, r, n)
-        for _, _, value in wall_values(w):
-            assert abs(value) < n * r * r
+        q = level_denominator(w)
+        for _, _, levels in row_levels(numerator_rows(w, q)):
+            for level in levels:
+                assert abs(Fraction(level, q)) < n * r * r
 
 
 def test_is_degree_generic():
