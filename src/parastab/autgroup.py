@@ -114,14 +114,14 @@ def _degree_pinned(
 
 
 def _chamber_preserving(
-    r: int, candidates: Iterable[NumTransform], w_from: WeightSystem, d_to: int, w_to: WeightSystem
+    candidates: Iterable[NumTransform], w_from: WeightSystem, d_to: int, w_to: WeightSystem
 ) -> tuple[NumTransform, ...]:
     """The candidates whose image of w_from has w_to's fingerprint at degree d_to.
 
     Candidates act on integer rows over one common denominator, and each stops
     at its first fingerprint value that differs.
     """
-    ref = chamber_fingerprint(r, w_to, d_to)
+    ref = chamber_fingerprint(w_to, d_to)
     q = level_denominator(w_from, w_to)
     rows = numerator_rows(w_from, q)
     return tuple(
@@ -131,15 +131,12 @@ def _chamber_preserving(
     )
 
 
-def candidate_transforms(
-    r: int, n: int, d: int, curve: CurveData
-) -> tuple[NumTransform, ...]:
-    """All degree-preserving class representatives over the curve symmetries."""
+def candidate_transforms(r: int, d: int, curve: CurveData) -> tuple[NumTransform, ...]:
+    """All rank-r class representatives fixing degree d over the curve symmetries."""
     if r < 2:
         raise DomainError("rank must be at least 2")
-    if n != curve.npoints:
-        raise DomainError("point count mismatch")
-    return tuple(_degree_pinned(r, n, [perm for perm, _ in curve.symmetries], d, d))
+    perms = [perm for perm, _ in curve.symmetries]
+    return tuple(_degree_pinned(r, curve.npoints, perms, d, d))
 
 
 @dataclass(frozen=True)
@@ -163,23 +160,17 @@ class AutResult:
 
 
 def automorphism_group(
-    r: int,
-    n: int,
-    d: int,
-    g: int,
-    w: WeightSystem,
-    curve: CurveData,
-    strict: bool = False,
+    w: WeightSystem, d: int, curve: CurveData, strict: bool = False
 ) -> AutResult:
-    """Classes fixing both the determinant degree and the chamber fingerprint.
+    """Classes fixing both the determinant degree d and the chamber fingerprint of w.
 
+    The rank is w's and the genus the curve's, whose points must be w's.
     With ``strict`` the blanket genericity test must pass; by default the
     result only records the genericity flags, since weight systems sitting
     on degree-irrelevant walls still have a well-defined fingerprint.
     """
-    if w.rank != r or w.npoints != n:
-        raise DomainError("weight system shape mismatch")
-    if curve.npoints != n or curve.genus != g:
+    r, n, g = w.rank, w.npoints, curve.genus
+    if curve.npoints != n:
         raise DomainError("curve data mismatch")
     blanket: GenericityResult = is_generic(w)
     # degree-relevant walls are walls, so a system on none needs no second scan
@@ -189,7 +180,7 @@ def automorphism_group(
             f"weights are not generic: wall witness {blanket.witness}"
         )
     perms = [perm for perm, _ in curve.symmetries]
-    survivors = _chamber_preserving(r, _degree_pinned(r, n, perms, d, d), w, d, w)
+    survivors = _chamber_preserving(_degree_pinned(r, n, perms, d, d), w, d, w)
     torsion = r ** (2 * g)
     order = torsion * sum(curve.multiplicity(c.perm) for c in survivors)
     chamber_genus = genus_bounds(normalize(w)).chamber
@@ -208,22 +199,22 @@ def automorphism_group(
 
 
 def iso_transforms(
-    r: int,
-    n: int,
-    d1: int,
     w1: WeightSystem,
-    d2: int,
+    d1: int,
     w2: WeightSystem,
+    d2: int,
     curve_iso: Sequence[tuple[int, ...]] = (),
     strict: bool = False,
 ) -> tuple[NumTransform, ...]:
-    """Classes carrying the first space onto the second.
+    """Classes carrying the space of (w1, d1) onto that of (w2, d2).
 
-    ``curve_iso`` lists the point relabelings induced by curve isomorphisms;
-    the identity is always considered.  The degree equation here reads
+    Both systems must share their rank r and point count n.  ``curve_iso``
+    lists the point relabelings induced by curve isomorphisms; the identity
+    is always considered.  The degree equation here reads
     r*tdeg = sign*d2 - d1 + |H|.
     """
-    if w1.rank != r or w2.rank != r or w1.npoints != n or w2.npoints != n:
+    r, n = w1.rank, w1.npoints
+    if w2.rank != r or w2.npoints != n:
         raise DomainError("weight system shape mismatch")
     if strict:
         for label, ws in (("first", w1), ("second", w2)):
@@ -239,7 +230,7 @@ def iso_transforms(
             raise DomainError("curve isomorphism perms must permute 0..n-1")
         if p not in perms:
             perms.append(p)
-    return _chamber_preserving(r, _degree_pinned(r, n, perms, d1, d2), w1, d2, w2)
+    return _chamber_preserving(_degree_pinned(r, n, perms, d1, d2), w1, d2, w2)
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,9 @@ def count_admissible(r: int, n: int) -> int:
     return sum(comb(r, rp) ** n for rp in range(1, r))
 
 
-def max_subdegree(r: int, w: WeightSystem, d: int, t: ParabolicType) -> int:
+def max_subdegree(w: WeightSystem, d: int, t: ParabolicType) -> int:
     """Largest subobject degree of the given pattern compatible with semistability."""
-    if r != w.rank:
-        raise DomainError("rank mismatch")
+    r = w.rank
     if t.rank != r or t.npoints != w.npoints:
         raise DomainError("type shape does not match the weight system")
     if not 0 < t.subrank < r:
@@ -87,22 +86,19 @@ def fingerprint_floors(rows: Sequence[Sequence[int]], d: int, q: int) -> Iterato
     )
 
 
-def chamber_fingerprint(r: int, w: WeightSystem, d: int) -> tuple[int, ...]:
+def chamber_fingerprint(w: WeightSystem, d: int) -> tuple[int, ...]:
     """``max_subdegree`` of every admissible pattern in canonical order, from the wall levels."""
-    if r != w.rank:
-        raise DomainError("rank mismatch")
     q = level_denominator(w)
     return tuple(fingerprint_floors(numerator_rows(w, q), d, q))
 
 
-def same_numerical_chamber(r: int, w1: WeightSystem, w2: WeightSystem, d: int) -> bool:
+def same_numerical_chamber(w1: WeightSystem, w2: WeightSystem, d: int) -> bool:
     if w1.rank != w2.rank or w1.npoints != w2.npoints:
         raise DomainError("weight systems must share rank and point count")
-    return chamber_fingerprint(r, w1, d) == chamber_fingerprint(r, w2, d)
+    return chamber_fingerprint(w1, d) == chamber_fingerprint(w2, d)
 
 
 def wall_crossings(
-    r: int,
     w1: WeightSystem,
     w2: WeightSystem,
     d: int,
@@ -127,9 +123,7 @@ def wall_crossings(
     """
     if w1.rank != w2.rank or w1.npoints != w2.npoints:
         raise DomainError("weight systems must share rank and point count")
-    if w1.rank != r:
-        raise DomainError("rank mismatch")
-    n = w1.npoints
+    r, n = w1.rank, w1.npoints
     q = level_denominator(w1, w2)
 
     def block(pair) -> list[tuple[int, tuple[tuple[int, ...], ...], range]]:

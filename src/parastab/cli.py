@@ -10,8 +10,10 @@ Input documents are JSON.  A weight document looks like
 
 Rationals are exact strings like "3/5" or "2"; decimals are rejected.
 Matrix documents use {"entries": [[entry, ...], ...]} where an entry is a
-rational string, an integer, or a map from exponent to coefficient like
-{"0": "1", "-1": "2"}.
+rational string, an integer, a map from exponent to coefficient like
+{"0": "1", "-1": "2"}, or a list of [exponent, coefficient] pairs like
+[[0, "1"], [-1, "2"]].  Exponent keys are integers written in decimal; each
+exponent appears at most once in an entry.
 
 Output is a single JSON object on stdout with sorted keys, so identical
 inputs always produce identical bytes.  Exit codes: 0 success, 1 domain
@@ -27,7 +29,7 @@ import sys
 from fractions import Fraction
 from itertools import chain, combinations, product
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .autgroup import (
     AutResult,
@@ -82,6 +84,7 @@ from .weights_core import (
 )
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_INTEGER_RE = re.compile(r"^[+-]?\d+$")
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +258,20 @@ def _parse_word(raw: Any, r: int, doc: Optional[Document] = None) -> NumTransfor
         raise InputError(str(exc)) from None
 
 
+def _laurent_terms(value: Any) -> Iterator[tuple[int, Any]]:
+    """(exponent, raw coefficient) of each term of a map or pair-list entry, in order."""
+    if isinstance(value, dict):
+        for key, coeff in value.items():
+            if not _INTEGER_RE.match(key.strip()):
+                raise InputError(f"exponent keys must be integers, got {key!r}")
+            yield int(key), coeff
+        return
+    for item in value:
+        if not isinstance(item, list) or len(item) != 2:
+            raise InputError("entry pairs must be [exponent, coefficient]")
+        yield _parse_int(item[0], "exponent"), item[1]
+
+
 def _parse_laurent(value: Any) -> Laurent:
     if isinstance(value, bool):
         raise InputError(f"invalid matrix entry {value!r}")
@@ -262,21 +279,12 @@ def _parse_laurent(value: Any) -> Laurent:
         return Laurent.const(value)
     if isinstance(value, str):
         return Laurent.const(_parse_fraction(value))
-    if isinstance(value, dict):
+    if isinstance(value, (dict, list)):
         coeffs = {}
-        for k, v in value.items():
-            try:
-                exp = int(k)
-            except ValueError:
-                raise InputError(f"exponent keys must be integers, got {k!r}") from None
-            coeffs[exp] = _parse_fraction(v)
-        return Laurent(coeffs)
-    if isinstance(value, list):
-        coeffs = {}
-        for item in value:
-            if not isinstance(item, list) or len(item) != 2:
-                raise InputError("entry pairs must be [exponent, coefficient]")
-            coeffs[_parse_int(item[0], "exponent")] = _parse_fraction(item[1])
+        for exp, coeff in _laurent_terms(value):
+            if exp in coeffs:
+                raise InputError(f"exponent {exp} appears twice in one matrix entry")
+            coeffs[exp] = _parse_fraction(coeff)
         return Laurent(coeffs)
     raise InputError(f"invalid matrix entry {value!r}")
 
@@ -394,7 +402,7 @@ class _Json(str):
 
 
 def _ser_walls(
-    r: int, w1: WeightSystem, w2: WeightSystem, d: int, relevant_only: bool
+    w1: WeightSystem, w2: WeightSystem, d: int, relevant_only: bool
 ) -> tuple[int, _Json]:
     """The count and text of the {"m", "picks", "relevant", "subrank"} list.
 
@@ -403,6 +411,7 @@ def _ser_walls(
     encoder to walk.  An m is relevant when it lies on its subrank's
     ``wall_grid`` for degree d at q = 1.
     """
+    r = w1.rank
     pick_text = {
         c: "[%s]" % ",".join(map(str, c))
         for rp in range(1, r)
@@ -413,7 +422,7 @@ def _ser_walls(
     walls = [
         f'{{"m":{m},"picks":[{picks}],'
         f'"relevant":{boolean[relevant_only or (m + shift) % width == 0]},"subrank":{rp}}}'
-        for rp, combo, levels in wall_crossings(r, w1, w2, d, relevant_only)
+        for rp, combo, levels in wall_crossings(w1, w2, d, relevant_only)
         for shift, width in [grid[rp]]
         for picks in [",".join(map(pick_text, combo))]
         for m in levels
@@ -479,7 +488,7 @@ def _cmd_owt(args) -> dict:
 def _cmd_invariant(args) -> dict:
     doc = _load(args)
     n = doc.weights.npoints
-    values = chamber_fingerprint(doc.r, doc.weights, doc.degree)
+    values = chamber_fingerprint(doc.weights, doc.degree)
     lower, upper = subdegree_bounds(doc.r, doc.degree, n)
     return {
         "r": doc.r,
@@ -495,12 +504,12 @@ def _cmd_invariant(args) -> dict:
 def _cmd_same_chamber(args) -> dict:
     doc1, doc2 = _load(args)
     _agree(doc1, doc2, "r", "degree")
-    r, w1, w2, d = doc1.r, doc1.weights, doc2.weights, doc1.degree
+    w1, w2, d = doc1.weights, doc2.weights, doc1.degree
     try:
-        count, walls = _ser_walls(r, w1, w2, d, True)
+        count, walls = _ser_walls(w1, w2, d, True)
     except DomainError:
         # an endpoint on a relevant wall: compare the fingerprints (rank 1 raises there too)
-        return {"same": same_numerical_chamber(r, w1, w2, d), "degree": d, "walls": None}
+        return {"same": same_numerical_chamber(w1, w2, d), "degree": d, "walls": None}
     # off relevant walls, the fingerprints agree exactly when no relevant wall lies between
     return {"same": count == 0, "degree": d, "walls": walls}
 
@@ -512,7 +521,7 @@ def _cmd_same_chamber(args) -> dict:
 def _cmd_walls(args) -> dict:
     doc1, doc2 = _load(args)
     _agree(doc1, doc2, "r", "degree")
-    count, walls = _ser_walls(doc1.r, doc1.weights, doc2.weights, doc1.degree, not args.all)
+    count, walls = _ser_walls(doc1.weights, doc2.weights, doc1.degree, not args.all)
     return {"degree": doc1.degree, "count": count, "walls": walls}
 
 
@@ -611,11 +620,7 @@ def _cmd_inverse(args) -> dict:
 @_command("aut", "degree- and chamber-preserving classes", "doc", _STRICT)
 def _cmd_aut(args) -> dict:
     doc = _load(args)
-    curve = doc.curve()
-    result = automorphism_group(
-        doc.r, doc.weights.npoints, doc.degree, curve.genus, doc.weights, curve,
-        strict=args.strict,
-    )
+    result = automorphism_group(doc.weights, doc.degree, doc.curve(), strict=args.strict)
     payload = _fields(result)
     payload["degree"] = payload.pop("d")
     payload["genus_sufficient"] = result.genus_sufficient
@@ -639,8 +644,7 @@ def _cmd_iso(args) -> dict:
         if any(sorted(p) != list(range(len(p))) for p in perms):
             raise InputError("curve isomorphism perms must permute 0..n-1")
     found = iso_transforms(
-        doc1.r, doc1.weights.npoints, doc1.degree, doc1.weights, doc2.degree, doc2.weights,
-        curve_iso=perms, strict=args.strict,
+        doc1.weights, doc1.degree, doc2.weights, doc2.degree, curve_iso=perms, strict=args.strict
     )
     return {
         "count": len(found),
@@ -744,7 +748,7 @@ def _rank2_swap() -> tuple[bool, str]:
 @_claim("rank2 classes are the identity and the swapped full Hecke shift")
 def _rank2_classes() -> tuple[bool, str]:
     curve = CurveData(genus=2, points=("x", "y"), symmetries=(((1, 0), 1),))
-    result = automorphism_group(2, 2, 0, 2, _rank2_member(Fraction(7, 10)), curve)
+    result = automorphism_group(_rank2_member(Fraction(7, 10)), 0, curve)
     got = _classes(result)
     want = [((0, 1), 1, 0, (0, 0)), ((1, 0), 1, 1, (1, 1))]
     return got == want and result.order == 2 ** 4 * 2, f"classes={got} order={result.order}"
@@ -754,7 +758,7 @@ def _rank2_classes() -> tuple[bool, str]:
 def _rank2_separated() -> tuple[bool, str]:
     base = normalize(_rank2_member(Fraction(7, 10)))
     images = [hecke_weights(base, h) for h in ((1, 0), (0, 1), (1, 1))]
-    separated = not any(same_numerical_chamber(2, image, base, 0) for image in images)
+    separated = not any(same_numerical_chamber(image, base, 0) for image in images)
     return separated, "compared against the fingerprint at degree 0"
 
 
@@ -779,7 +783,7 @@ def _involution_claims(r: int, alpha: WeightSystem, shift: int, shifted: str, im
 
     @_claim(f"rank{r} classes are the identity and the involution")
     def _aut_classes() -> tuple[bool, str]:
-        result = automorphism_group(r, 1, -1, 2, alpha, trivial_curve(2, ["x"]))
+        result = automorphism_group(alpha, -1, trivial_curve(2, ["x"]))
         got = _classes(result)
         want = [((0,), -1, 1, (shift,)), ((0,), 1, 0, (0,))]
         return got == want and result.order == 2 * r ** 4, f"classes={got} order={result.order}"
@@ -793,7 +797,7 @@ def _rank3_separated() -> tuple[bool, str]:
     base = normalize(_ALPHA3)
     sh1, sh2 = hecke_weights(base, (1,)), hecke_weights(base, (2,))
     ok = not any(
-        same_numerical_chamber(3, u, v, -1) for u, v in ((base, sh1), (base, sh2), (sh1, sh2))
+        same_numerical_chamber(u, v, -1) for u, v in ((base, sh1), (base, sh2), (sh1, sh2))
     )
     return ok, "pairwise distinct at degree -1"
 

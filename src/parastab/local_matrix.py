@@ -65,23 +65,11 @@ class Laurent:
     def coeff(self, exp: int) -> Fraction:
         return self.coeffs.get(exp, Fraction(0))
 
-    def is_constant(self) -> bool:
-        return not self.coeffs or set(self.coeffs) == {0}
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise DomainError("not a constant")
-        return self.coeff(0)
-
     def is_monomial(self) -> bool:
         return len(self.coeffs) == 1
 
     def shift(self, exp: int) -> "Laurent":
         return Laurent({e + exp: c for e, c in self.coeffs.items()})
-
-    def truncated(self, bound: int) -> "Laurent":
-        """Drop all terms of exponent >= bound."""
-        return Laurent({e: c for e, c in self.coeffs.items() if e < bound})
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "Laurent") -> "Laurent":

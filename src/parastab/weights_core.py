@@ -412,20 +412,14 @@ def genus_bounds(
     return GenusBounds(chamber=chamber, refined=refined, lm=lm, codim=codim)
 
 
-def stability_check(
-    r: int,
-    d: int,
-    w: WeightSystem,
-    sub: tuple[int, int, ParabolicType],
-) -> str:
-    """Compare the slope of a candidate subobject with the total slope.
+def stability_check(w: WeightSystem, d: int, sub: tuple[int, int, ParabolicType]) -> str:
+    """Compare the slope of a candidate subobject with the total slope at degree d.
 
     ``sub`` is (subrank, subdegree, pattern).  Returns "strict" when the
     subobject respects strict stability, "equality" on the semistable
     borderline and "violated" otherwise.
     """
-    if r != w.rank:
-        raise DomainError("rank mismatch")
+    r = w.rank
     r_sub, d_sub, t = sub
     _check_shapes(w, t)
     if t.subrank != r_sub:

@@ -83,7 +83,7 @@ def rand_transform(rng: random.Random, r: int, n: int) -> NumTransform:
     )
 
 
-def crossed_walls(r, w1, w2, d, relevant_only=True) -> tuple[Wall, ...]:
+def crossed_walls(w1, w2, d, relevant_only=True) -> tuple[Wall, ...]:
     """One oracle ``Wall`` per level m of each ``wall_crossings`` range.
 
     An m is relevant when it lies on its subrank's ``wall_grid`` for degree
@@ -91,7 +91,7 @@ def crossed_walls(r, w1, w2, d, relevant_only=True) -> tuple[Wall, ...]:
     """
     return tuple(
         Wall(rp, picks, m, (m + shift) % width == 0)
-        for rp, picks, levels in wall_crossings(r, w1, w2, d, relevant_only)
-        for shift, width in [wall_grid(r, rp, 1, d)]
+        for rp, picks, levels in wall_crossings(w1, w2, d, relevant_only)
+        for shift, width in [wall_grid(w1.rank, rp, 1, d)]
         for m in levels
     )

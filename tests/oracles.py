@@ -122,6 +122,11 @@ def series_inverse(unit: Laurent, precision: int) -> Laurent:
     return Laurent(inv)
 
 
+def truncated(value: Laurent, bound: int) -> Laurent:
+    """``value`` with all terms of exponent >= bound dropped."""
+    return Laurent({e: c for e, c in value.coeffs.items() if e < bound})
+
+
 def _min_bound(a: Optional[int], b: Optional[int]) -> Optional[int]:
     if a is None:
         return b
@@ -144,7 +149,7 @@ class TruncLaurent:
     def _clip(self) -> "TruncLaurent":
         if self.bound is None:
             return self
-        return TruncLaurent(self.known.truncated(self.bound), self.bound)
+        return TruncLaurent(truncated(self.known, self.bound), self.bound)
 
     def _vlow(self) -> Optional[int]:
         """Lower bound for the true valuation; None means the value is exactly 0."""
@@ -270,7 +275,7 @@ def admissible_types(r: int, n: int) -> tuple[ParabolicType, ...]:
 
 def fingerprint(r: int, w: WeightSystem, d: int) -> tuple[int, ...]:
     """One max_subdegree per validated admissible pattern."""
-    return tuple(max_subdegree(r, w, d, t) for t in admissible_types(r, w.npoints))
+    return tuple(max_subdegree(w, d, t) for t in admissible_types(r, w.npoints))
 
 
 def levels(w: WeightSystem) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], Fraction]]:

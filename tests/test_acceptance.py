@@ -100,7 +100,7 @@ def test_rank2_symmetry_classes_match_brute_force():
     curve = CurveData(genus=2, points=("x", "y"), symmetries=(((1, 0), 1),))
     from parastab import automorphism_group
 
-    result = automorphism_group(2, 2, 0, 2, member, curve)
+    result = automorphism_group(member, 0, curve)
     got = sorted((t.perm, t.sign, t.tdeg, t.hecke) for t in result.classes)
     assert got == [((0, 1), 1, 0, (0, 0)), ((1, 0), 1, 1, (1, 1))]
     assert result.order == 2 ** 4 * 2
@@ -110,7 +110,7 @@ def test_rank2_symmetry_classes_match_brute_force():
     # at rank 2 the dual factor is redundant, so fold to dual-free form
     from parastab import reduce_dual_rank2
 
-    ref = chamber_fingerprint(2, normalize(member), 0)
+    ref = chamber_fingerprint(normalize(member), 0)
     survivors = set()
     for perm in ((0, 1), (1, 0)):
         for sign in (1, -1):
@@ -120,7 +120,7 @@ def test_rank2_symmetry_classes_match_brute_force():
                     if apply_to_degree(t, 0, 2) != 0:
                         continue
                     image = apply_to_weights(t, member)
-                    if chamber_fingerprint(2, image, 0) == ref:
+                    if chamber_fingerprint(image, 0) == ref:
                         survivors.add(t if t.sign == 1 else reduce_dual_rank2(t, 0))
     assert survivors == set(result.classes)
 
@@ -141,7 +141,7 @@ def test_concentrated_generic_has_torsion_only_symmetry():
             curve = trivial_curve(g, list(w.points))
             from parastab import automorphism_group
 
-            res = automorphism_group(r, n, d, g, w, curve)
+            res = automorphism_group(w, d, curve)
             assert all(c.hecke == (0,) * n for c in res.classes)
             assert res.classes == (identity_transform(n),)
             assert res.order == r ** (2 * g) * curve.order()
@@ -164,7 +164,7 @@ def test_concentrated_symmetric_pair_keeps_curve_factor():
         d = rng.choice([v for v in range(-5, 6) if v and v % 3])
         g = rng.randrange(2, 5)
         curve = CurveData(genus=g, points=("x", "y"), symmetries=(((1, 0), 1),))
-        res = automorphism_group(3, 2, d, g, w, curve)
+        res = automorphism_group(w, d, curve)
         assert sorted(c.perm for c in res.classes) == [(0, 1), (1, 0)]
         assert all(c.hecke == (0, 0) and c.sign == 1 for c in res.classes)
         assert res.order == 3 ** (2 * g) * curve.order()
@@ -295,12 +295,12 @@ def test_chamber_fingerprint_matches_wall_crossings():
             w1 = rand_generic_weights(rng, r, n)
             w2 = rand_generic_weights(rng, r, n)
 
-            inv1 = chamber_fingerprint(r, w1, d)
-            crossed = crossed_walls(r, w1, w2, d)
-            same = same_numerical_chamber(r, w1, w2, d)
+            inv1 = chamber_fingerprint(w1, d)
+            crossed = crossed_walls(w1, w2, d)
+            same = same_numerical_chamber(w1, w2, d)
             assert same == (len(crossed) == 0)
 
-            assert chamber_fingerprint(r, _translate(w1, rng), d) == inv1
+            assert chamber_fingerprint(_translate(w1, rng), d) == inv1
 
             lower, upper = subdegree_bounds(r, d, n)
             for value in inv1:
@@ -314,9 +314,9 @@ def test_stability_verdicts_match_floor_characterization():
         d = rng.randrange(-4, 5)
         w = rand_weights(rng, r, n)
         t = rng.choice(admissible_types(r, n))
-        bound = max_subdegree(r, w, d, t)
+        bound = max_subdegree(w, d, t)
         d_sub = bound + rng.randrange(-2, 3)
-        verdict = stability_check(r, d, w, (t.subrank, d_sub, t))
+        verdict = stability_check(w, d, (t.subrank, d_sub, t))
         exact = (F(t.subrank * d) + t.subrank * w.total() - r * owt(w, t)) / r
         if d_sub > bound:
             assert verdict == "violated"

@@ -60,14 +60,14 @@ def test_curve_data_validation():
 
 
 def test_candidate_transforms_examples():
-    only = candidate_transforms(2, 1, 1, trivial_curve(2, ["x"]))
+    only = candidate_transforms(2, 1, trivial_curve(2, ["x"]))
     assert only == (identity_transform(1),)
 
-    cands3 = candidate_transforms(3, 1, -1, trivial_curve(2, ["x"]))
+    cands3 = candidate_transforms(3, -1, trivial_curve(2, ["x"]))
     assert NumTransform((0,), -1, 1, (1,)) in cands3
     assert identity_transform(1) in cands3
 
-    cands22 = candidate_transforms(2, 2, 0, trivial_curve(2, ["x", "y"]))
+    cands22 = candidate_transforms(2, 0, trivial_curve(2, ["x", "y"]))
     plus_heckes = {c.hecke for c in cands22}
     assert plus_heckes == {(0, 0), (1, 1)}
     assert all(c.sign == 1 for c in cands22)  # rank-2 fold removes duals
@@ -79,13 +79,13 @@ def test_candidate_degree_equation():
         r = rng.randrange(2, 5)
         n = rng.randrange(1, 3)
         d = rng.randrange(-4, 5)
-        for cand in candidate_transforms(r, n, d, trivial_curve(2, [f"q{i}" for i in range(n)])):
+        for cand in candidate_transforms(r, d, trivial_curve(2, [f"q{i}" for i in range(n)])):
             assert apply_to_degree(cand, d, r) == d
 
 
 def test_automorphism_group_rank3_fixture():
     w = _rank3_fixture()
-    res = automorphism_group(3, 1, -1, 2, w, trivial_curve(2, ["x"]))
+    res = automorphism_group(w, -1, trivial_curve(2, ["x"]))
     keys = {(c.perm, c.sign, c.tdeg, c.hecke) for c in res.classes}
     assert keys == {((0,), 1, 0, (0,)), ((0,), -1, 1, (1,))}
     assert res.torsion_factor == 81
@@ -95,7 +95,7 @@ def test_automorphism_group_rank3_fixture():
     assert res.chamber_genus == 3
     assert res.classification_genus == 6
     assert not res.genus_sufficient
-    taller = automorphism_group(3, 1, -1, 6, w, trivial_curve(6, ["x"]))
+    taller = automorphism_group(w, -1, trivial_curve(6, ["x"]))
     assert taller.genus_sufficient
     assert taller.order == 2 * 3 ** 12
 
@@ -103,13 +103,13 @@ def test_automorphism_group_rank3_fixture():
 def test_automorphism_group_strict_gate():
     w = _rank3_fixture()
     with pytest.raises(DomainError):
-        automorphism_group(3, 1, -1, 2, w, trivial_curve(2, ["x"]), strict=True)
+        automorphism_group(w, -1, trivial_curve(2, ["x"]), strict=True)
 
 
 def test_automorphism_group_rank2_fixture():
     w = _rank2_member(F(1, 10), F(7, 10))
     curve = CurveData(genus=2, points=("x", "y"), symmetries=(((1, 0), 1),))
-    res = automorphism_group(2, 2, 0, 2, w, curve)
+    res = automorphism_group(w, 0, curve)
     keys = {(c.perm, c.sign, c.tdeg, c.hecke) for c in res.classes}
     assert keys == {((0, 1), 1, 0, (0, 0)), ((1, 0), 1, 1, (1, 1))}
     assert res.order == 2 ** 4 * 2
@@ -137,7 +137,7 @@ def test_classes_closed_under_group_ops():
         ),
     ]
     for r, n, d, w, curve in cases:
-        res = automorphism_group(r, n, d, 2, w, curve)
+        res = automorphism_group(w, d, curve)
         keys = {(c.perm, c.sign, c.tdeg, c.hecke) for c in res.classes}
         assert (identity_transform(n).perm, 1, 0, (0,) * n) in keys
         for a in res.classes:
@@ -160,7 +160,7 @@ def test_concentrated_trivial_symmetry_classes():
             w = rand_concentrated_weights(rng, r, n)
             g = rng.randrange(2, 5)
             curve = trivial_curve(g, [f"q{i}" for i in range(n)])
-            res = automorphism_group(r, n, d, g, w, curve)
+            res = automorphism_group(w, d, curve)
             assert all(c.hecke == (0,) * n for c in res.classes)
             assert res.classes == (identity_transform(n),)
             assert res.order == r ** (2 * g)
@@ -171,7 +171,7 @@ def test_concentrated_symmetric_weights():
     w = weight_system([[0, F(1, 16)], [0, F(1, 16)]], points=["x", "y"])
     assert is_degree_generic(w, 1)
     curve = CurveData(genus=3, points=("x", "y"), symmetries=(((1, 0), 1),))
-    res = automorphism_group(2, 2, 1, 3, w, curve)
+    res = automorphism_group(w, 1, curve)
     perms = sorted(c.perm for c in res.classes)
     assert perms == [(0, 1), (1, 0)]
     assert all(c.hecke == (0, 0) for c in res.classes)
@@ -180,14 +180,14 @@ def test_concentrated_symmetric_weights():
 
 def test_iso_transforms_examples():
     w = _rank3_fixture()
-    self_iso = iso_transforms(3, 1, -1, w, -1, w)
+    self_iso = iso_transforms(w, -1, w, -1)
     assert identity_transform(1) in self_iso
 
     sh = NumTransform((0,), 1, 0, (1,))
     w2 = apply_to_weights(sh, w)
     d2 = apply_to_degree(sh, -1, 3)
     assert d2 == -2
-    out = iso_transforms(3, 1, -1, w, d2, w2)
+    out = iso_transforms(w, -1, w2, d2)
     assert sh in out
 
     rng = random.Random(7)
@@ -196,13 +196,13 @@ def test_iso_transforms_examples():
         b = rand_generic_weights(rng, 2, 1)
         d1 = rng.randrange(-3, 4)
         for d2 in (d1 - 2, d1, d1 + 2):
-            assert iso_transforms(2, 1, d1, a, d2, b)
+            assert iso_transforms(a, d1, b, d2)
 
 
 def test_iso_transforms_odd_gap_needs_hecke():
     # an odd degree gap at rank 2 is bridged only by odd total Hecke shift
     a = weight_system([[0, F(1, 3)]])
-    out = iso_transforms(2, 1, 0, a, 1, a)
+    out = iso_transforms(a, 0, a, 1)
     assert out
     assert all(sum(c.hecke) % 2 == 1 for c in out)
 
@@ -211,9 +211,9 @@ def test_iso_transforms_validation():
     a = weight_system([[0, F(1, 3)]])
     b = weight_system([[0, F(1, 3)], [0, F(1, 3)]])
     with pytest.raises(DomainError):
-        iso_transforms(2, 1, 0, a, 0, b)
+        iso_transforms(a, 0, b, 0)
     with pytest.raises(DomainError):
-        iso_transforms(2, 1, 0, a, 0, a, curve_iso=[(1, 0)])
+        iso_transforms(a, 0, a, 0, curve_iso=[(1, 0)])
 
 
 def test_concentrated_orders_examples():
@@ -233,6 +233,6 @@ def test_concentrated_orders_examples():
 
 def test_orders_match_enumeration_at_rank2_single_point():
     # the |D| = 1 ratio is fixed by exhaustive candidate enumeration
-    cands = candidate_transforms(2, 1, 1, trivial_curve(2, ["x"]))
+    cands = candidate_transforms(2, 1, trivial_curve(2, ["x"]))
     assert len(cands) == 1
     assert concentrated_orders(2, 2, 1, 1).ratio == 1

@@ -1,8 +1,10 @@
 """End-to-end checks of the command line interface via subprocess."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -40,6 +42,18 @@ def run_cli(*args: str, stdin: str | None = None) -> subprocess.CompletedProcess
 def run_json(*args: str, stdin: str | None = None) -> tuple[int, dict]:
     proc = run_cli(*args, stdin=stdin)
     return proc.returncode, json.loads(proc.stdout)
+
+
+def main_json(argv: list[str], stdin) -> tuple[int, dict]:
+    """``main(argv + ["--json"])`` in-process on the JSON of ``stdin``."""
+    out, saved = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(json.dumps(stdin))
+    try:
+        with redirect_stdout(out):
+            code = cli.main([*argv, "--json"])
+    finally:
+        sys.stdin = saved
+    return code, json.loads(out.getvalue())
 
 
 def write_doc(tmp_path, name: str, obj: dict) -> str:
@@ -442,6 +456,38 @@ def test_matrix_rows_must_be_lists(doc):
         assert proc.stderr == ""
         error = json.loads(proc.stdout)["error"]
         assert error == {"kind": "input", "message": "matrix rows must be lists"}
+
+
+@pytest.mark.parametrize(
+    "entry, exponent",
+    [
+        ({"1": "2", "01": "3"}, 1),
+        ({" 1": "2", "1": "3"}, 1),
+        ({"-0": "1", "+0": "2"}, 0),
+        ([[1, "2"], [1, "3"]], 1),
+        ([[-2, "1"], [0, "1"], [-2, "1"]], -2),
+    ],
+)
+def test_repeated_exponent_is_an_input_error(entry, exponent):
+    """An exponent named twice in one entry is refused, not overwritten."""
+    message = f"exponent {exponent} appears twice in one matrix entry"
+    for argv in (["matrix-rank1"], ["matrix-hecke"]):
+        assert main_json(argv, [[entry]]) == (2, {"error": {"kind": "input", "message": message}})
+    pair = {"a": [[entry, 0], [0, 1]], "b": [[1, 0], [0, 1]]}
+    assert main_json(["matrix-mp"], pair)[0] == 2
+
+
+@pytest.mark.parametrize("key", ["1_0", "-1_0", "1.0", "0x1", "", "1/1"])
+def test_exponent_keys_must_be_decimal_integers(key):
+    message = f"exponent keys must be integers, got {key!r}"
+    error = {"error": {"kind": "input", "message": message}}
+    assert main_json(["matrix-rank1"], [[{key: "1"}]]) == (2, error)
+
+
+def test_exponent_keys_may_carry_signs_spaces_and_zeros():
+    code, payload = main_json(["matrix-rank1"], [[{" 1": "2", "+02": "1", "-0": "3"}]])
+    assert code == 0
+    assert payload["col"] == [[[0, "3"], [1, "2"], [2, "1"]]]
 
 
 def test_other_input_errors(tmp_path):

@@ -25,7 +25,7 @@ SCALARS = (
     | st.integers(-3, 3)
     | st.sampled_from(["0", "1", "-2", "1/2", "3/0", "x", "", "1e3", " 4"])
 )
-EXPONENTS = st.sampled_from(["0", "1", "-1", "2", "-3", "x", "1.5", ""])
+EXPONENTS = st.sampled_from(["0", "1", "-1", "2", "-3", "x", "1.5", "", "01", "1_0", " 1"])
 # matrix entries as the parser reads them, and anything else JSON can hold
 ENTRIES = (
     SCALARS

@@ -34,7 +34,7 @@ from parastab.local_matrix import (
     tau,
     tau_inv,
 )
-from oracles import TruncLaurent, mp_matrix, series_inverse
+from oracles import TruncLaurent, mp_matrix, series_inverse, truncated
 
 F = Fraction
 
@@ -76,9 +76,9 @@ def test_laurent_basics():
     assert Laurent.z(-3, 5).is_monomial()
     assert (p - p).is_zero()
     assert L_ZERO.valuation() is None
-    assert Laurent.const(F(5, 3)).as_fraction() == F(5, 3)
+    assert Laurent.const(F(5, 3)).coeffs == {0: F(5, 3)}
     assert p.shift(-2) == Laurent.z(-2, 3) + Laurent.const(F(1, 2))
-    assert p.truncated(2) == Laurent.const(3)
+    assert truncated(p, 2) == Laurent.const(3)
     assert p.scale(2) == Laurent.const(6) + Laurent.z(2)
 
 
@@ -119,7 +119,7 @@ def test_series_inverse():
             u = u + L_ONE
         precision = rng.randrange(4, 12)
         inv = series_inverse(u, precision)
-        assert (u * inv).truncated(precision) == L_ONE
+        assert truncated(u * inv, precision) == L_ONE
     with pytest.raises(DomainError):
         series_inverse(Laurent.z(), 4)
 
@@ -246,8 +246,8 @@ def test_twist_round_trip():
 
 def test_rank1_factor_examples():
     col, row = rank1_factor([[1, 2], [2, 4]])
-    assert [v.as_fraction() for v in col] == [1, 2]
-    assert [v.as_fraction() for v in row] == [1, 2]
+    assert [v.coeffs for v in col] == [{0: 1}, {0: 2}]
+    assert [v.coeffs for v in row] == [{0: 1}, {0: 2}]
     assert rank1_factor([[1, 0], [0, 1]]) is None
     col0, row0 = rank1_factor([[0, 0], [0, 0]])
     assert all(v.is_zero() for v in col0)

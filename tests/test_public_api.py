@@ -2,11 +2,15 @@
 
 A name leaves this list only when the function behind it is dead; a change
 to the list is a change to the public API and shows in this file.  Retired
-duplicate paths must not come back, in the package or in the submodule that
-defined them.
+duplicate paths must not come back, in the package or in the submodule or
+class that defined them.  The parameters of the chamber and classification
+entry points are pinned too: none restates a field of a weight system or a
+curve it is also given.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import parastab
 
@@ -39,8 +43,9 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
-# Older duplicates of the fingerprint, wall-list and Hecke-check paths, by the
-# submodule that defined them; the slow ones live on in tests/oracles.py.
+# Older duplicates of the fingerprint, wall-list and Hecke-check paths, and
+# uncalled Laurent methods, by the submodule or class that defined them; the
+# slow ones live on in tests/oracles.py.
 RETIRED = {
     "chamber": (
         "ChamberInvariant", "Wall", "admissible_types", "chamber_invariant", "walls_crossed",
@@ -50,6 +55,7 @@ RETIRED = {
         "IndexMaps", "TruncLaurent", "index_maps", "inner_trace_conditions", "inverse_series",
         "series_inverse",
     ),
+    "Laurent": ("as_fraction", "is_constant", "truncated"),
 }
 
 
@@ -61,3 +67,25 @@ def test_retired_duplicates_stay_gone():
         if hasattr(parastab, name) or hasattr(getattr(parastab, module), name)
     ]
     assert left == []
+
+
+# rank, points and genus are read off the weight systems and the curve; only
+# candidate_transforms keeps r, since a curve carries no rank
+SIGNATURES = {
+    "chamber.chamber_fingerprint": ["w", "d"],
+    "chamber.same_numerical_chamber": ["w1", "w2", "d"],
+    "chamber.wall_crossings": ["w1", "w2", "d", "relevant_only"],
+    "chamber.max_subdegree": ["w", "d", "t"],
+    "weights_core.stability_check": ["w", "d", "sub"],
+    "autgroup.automorphism_group": ["w", "d", "curve", "strict"],
+    "autgroup.iso_transforms": ["w1", "d1", "w2", "d2", "curve_iso", "strict"],
+    "autgroup.candidate_transforms": ["r", "d", "curve"],
+}
+
+
+def test_entry_point_parameters_are_pinned():
+    got = {}
+    for path in SIGNATURES:
+        module, name = path.split(".")
+        got[path] = list(inspect.signature(getattr(getattr(parastab, module), name)).parameters)
+    assert got == SIGNATURES

@@ -230,8 +230,8 @@ def test_same_chamber_on_a_relevant_wall_compares_fingerprints(case):
     """An endpoint on a relevant wall: ``walls`` is null and ``same`` is fingerprint equality."""
     first, second = CASES[case]
     w1, w2 = Document(first).weights, Document(second).weights
-    r, d = first["r"], first["degree"]
-    same = chamber_fingerprint(r, w1, d) == chamber_fingerprint(r, w2, d)
+    d = first["degree"]
+    same = chamber_fingerprint(w1, d) == chamber_fingerprint(w2, d)
     assert payload(case, "same-chamber") == (0, {"degree": d, "same": same, "walls": None})
     assert payload(case, "walls")[0] == 1
 
@@ -257,7 +257,7 @@ def test_invariant_rows_are_the_admissible_types(r, n):
     lower, upper = subdegree_bounds(r, 0, n)
     expected = {
         "r": r, "n": n, "degree": 0, "types": rows,
-        "values": chamber_fingerprint(r, Document(w).weights, 0),
+        "values": chamber_fingerprint(Document(w).weights, 0),
         "bounds": {"lower_open": str(lower), "upper": str(upper)},
     }
     assert out == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"

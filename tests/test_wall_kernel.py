@@ -110,7 +110,7 @@ def test_levels_and_fingerprint_match_per_pattern_path(case):
         for combo, level in zip(product(picks, repeat=w.npoints), block)
     ]
     assert levels == list(oracles.levels(w))
-    assert chamber_fingerprint(w.rank, w, d) == oracles.fingerprint(w.rank, w, d)
+    assert chamber_fingerprint(w, d) == oracles.fingerprint(w.rank, w, d)
 
 
 @settings(max_examples=30)
@@ -143,7 +143,7 @@ def _walls_or_error(fn, *args, **kwargs):
 def test_walls_crossed_matches_fraction_levels(case, relevant_only):
     w1, w2, d = case
     r = w1.rank
-    new = _walls_or_error(crossed_walls, r, w1, w2, d, relevant_only=relevant_only)
+    new = _walls_or_error(crossed_walls, w1, w2, d, relevant_only=relevant_only)
     old = _walls_or_error(oracles.walls_crossed, r, w1, w2, d, relevant_only=relevant_only)
     assert new == old
 
@@ -172,7 +172,7 @@ DEEP_OTHER = weight_system(
 def both_walls(w1, w2, d, relevant_only):
     """The expanded crossings and their oracle, each as walls or as the error text; asserted equal."""
     r = w1.rank
-    new = _walls_or_error(crossed_walls, r, w1, w2, d, relevant_only=relevant_only)
+    new = _walls_or_error(crossed_walls, w1, w2, d, relevant_only=relevant_only)
     assert new == _walls_or_error(oracles.walls_crossed, r, w1, w2, d, relevant_only=relevant_only)
     return new
 
@@ -230,7 +230,7 @@ def test_first_wall_deep_in_a_later_subrank():
 )
 def test_aut_genericity_flags_match_first_wall(w, d, generic, degree_generic):
     """``aut`` reuses the blanket scan as the degree result when no wall is hit."""
-    result = automorphism_group(w.rank, w.npoints, d, 2, w, CurveData(2, w.points))
+    result = automorphism_group(w, d, CurveData(2, w.points))
     assert (result.generic, result.degree_generic) == (generic, degree_generic)
     assert result.generic == oracles.first_wall(w).generic
     assert result.degree_generic == oracles.first_wall(w, d).generic
@@ -238,7 +238,7 @@ def test_aut_genericity_flags_match_first_wall(w, d, generic, degree_generic):
 
 def test_walls_crossed_on_wall_message():
     with pytest.raises(DomainError) as err:
-        crossed_walls(2, ON_WALL, MIXED, 1)
+        crossed_walls(ON_WALL, MIXED, 1)
     assert str(err.value) == (
         "first weight system lies on wall (subrank 1, picks ((1,), (1,)), level 1)"
     )
@@ -335,9 +335,9 @@ def test_automorphism_group_matches_old_loop(case):
     w, d, perms = case
     r, n = w.rank, w.npoints
     curve = CurveData(genus=2, points=w.points, symmetries=tuple((p, 1) for p in perms))
-    result = automorphism_group(r, n, d, 2, w, curve)
+    result = automorphism_group(w, d, curve)
     assert result.classes == oracles.automorphism_classes(r, n, d, w, perms)
-    assert set(result.classes) <= set(candidate_transforms(r, n, d, curve))
+    assert set(result.classes) <= set(candidate_transforms(r, d, curve))
 
 
 @settings(max_examples=25)
@@ -351,12 +351,12 @@ def test_automorphism_group_matches_old_loop(case):
 def test_iso_transforms_matches_old_loop(case):
     w1, d1, w2, d2, perms = case
     r, n = w1.rank, w1.npoints
-    found = iso_transforms(r, n, d1, w1, d2, w2, curve_iso=perms[1:])
+    found = iso_transforms(w1, d1, w2, d2, curve_iso=perms[1:])
     assert found == oracles.iso_classes(r, n, d1, w1, d2, w2, perms)
     assert all(apply_to_degree(t, d1, r) == d2 for t in found)
-    self_map = iso_transforms(r, n, d1, w1, d1, w1, curve_iso=perms[1:])
+    self_map = iso_transforms(w1, d1, w1, d1, curve_iso=perms[1:])
     curve = CurveData(genus=0, points=w1.points, symmetries=tuple((p, 1) for p in perms))
-    assert self_map == automorphism_group(r, n, d1, 0, w1, curve).classes
+    assert self_map == automorphism_group(w1, d1, curve).classes
 
 
 @settings(max_examples=25)
@@ -392,15 +392,15 @@ ISO_TO = weight_system([[F(0), F(2, 9), F(7, 9)], [F(1, 7), F(4, 7), F(5, 7)]])
 def test_iso_over_a_common_denominator_and_two_degrees():
     q = level_denominator(ISO_FROM, ISO_TO)
     assert q not in (level_denominator(ISO_FROM), level_denominator(ISO_TO))
-    found = iso_transforms(3, 2, 1, ISO_FROM, -3, ISO_TO, curve_iso=[(1, 0)])
+    found = iso_transforms(ISO_FROM, 1, ISO_TO, -3, curve_iso=[(1, 0)])
     assert found == (
         NumTransform((0, 1), -1, 1, (1, 0)),
         NumTransform((1, 0), -1, 2, (2, 2)),
     )
     assert found == oracles.iso_classes(3, 2, 1, ISO_FROM, -3, ISO_TO, [(0, 1), (1, 0)])
-    assert iso_transforms(3, 2, 1, ISO_FROM, 1, ISO_TO, curve_iso=[(1, 0)]) == ()
+    assert iso_transforms(ISO_FROM, 1, ISO_TO, 1, curve_iso=[(1, 0)]) == ()
     mixed_to = weight_system([[F(1, 9), F(5, 9)], [F(2, 7), F(3, 7)]])
-    found2 = iso_transforms(2, 2, 0, MIXED, 1, mixed_to, curve_iso=[(1, 0)])
+    found2 = iso_transforms(MIXED, 0, mixed_to, 1, curve_iso=[(1, 0)])
     assert found2 == (NumTransform((0, 1), 1, 1, (1, 0)), NumTransform((1, 0), 1, 1, (1, 0)))
     assert found2 == oracles.iso_classes(2, 2, 0, MIXED, 1, mixed_to, [(0, 1), (1, 0)])
 
@@ -408,7 +408,7 @@ def test_iso_over_a_common_denominator_and_two_degrees():
 def test_iso_rank2_dual_folds_onto_a_twist():
     """At rank 2 the plain dual is listed as its non-dualizing representative."""
     dual = dual_weights(MIXED)
-    found = iso_transforms(2, 2, 1, MIXED, -1, dual)
+    found = iso_transforms(MIXED, 1, dual, -1)
     assert found == oracles.iso_classes(2, 2, 1, MIXED, -1, dual, [(0, 1)])
     assert all(t.sign == 1 for t in found)
     plain_dual = NumTransform((0, 1), -1, 0, (0, 0))
@@ -427,9 +427,9 @@ def test_rank_one_is_refused_by_every_wall_scan():
     scans = [
         lambda: is_generic(RANK1),
         lambda: is_degree_generic(RANK1, 0),
-        lambda: list(wall_crossings(1, RANK1, RANK1_OTHER, 0)),
-        lambda: list(wall_crossings(1, RANK1, RANK1_OTHER, 0, relevant_only=False)),
-        lambda: chamber_fingerprint(1, RANK1, 0),
+        lambda: list(wall_crossings(RANK1, RANK1_OTHER, 0)),
+        lambda: list(wall_crossings(RANK1, RANK1_OTHER, 0, relevant_only=False)),
+        lambda: chamber_fingerprint(RANK1, 0),
     ]
     for scan in scans:
         with pytest.raises(DomainError, match=RANK_ERROR):

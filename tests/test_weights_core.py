@@ -283,13 +283,11 @@ def test_stability_check_examples():
     w = weight_system([[0, F(1, 2)], [0, F(1, 2)]])
     t_first = parabolic_type([[1, 0], [1, 0]])
     t_second = parabolic_type([[0, 1], [0, 1]])
-    assert stability_check(2, 0, w, (1, 0, t_first)) == "strict"
-    assert stability_check(2, 0, w, (1, 1, t_first)) == "violated"
-    assert stability_check(2, 0, w, (1, 0, t_second)) == "violated"
+    assert stability_check(w, 0, (1, 0, t_first)) == "strict"
+    assert stability_check(w, 0, (1, 1, t_first)) == "violated"
+    assert stability_check(w, 0, (1, 0, t_second)) == "violated"
     with pytest.raises(DomainError):
-        stability_check(3, 0, w, (1, 0, t_first))
-    with pytest.raises(DomainError):
-        stability_check(2, 0, w, (2, 0, t_first))
+        stability_check(w, 0, (2, 0, t_first))
 
 
 def test_stability_equality_on_borderline():
@@ -297,9 +295,9 @@ def test_stability_equality_on_borderline():
     w = weight_system([[0, F(1, 2)], [0, F(1, 2)]])
     t = parabolic_type([[1, 0], [0, 1]])
     # pdeg_F = dF + 1/2, pdeg_E/r = 1/2: equality at dF = 0
-    assert stability_check(2, 0, w, (1, 0, t)) == "equality"
-    assert stability_check(2, 0, w, (1, -1, t)) == "strict"
-    assert stability_check(2, 0, w, (1, 1, t)) == "violated"
+    assert stability_check(w, 0, (1, 0, t)) == "equality"
+    assert stability_check(w, 0, (1, -1, t)) == "strict"
+    assert stability_check(w, 0, (1, 1, t)) == "violated"
 
 
 def test_generic_never_equality():
@@ -313,4 +311,4 @@ def test_generic_never_equality():
         )
         d = rng.randrange(-4, 5)
         dF = rng.randrange(-4, 5)
-        assert stability_check(r, d, w, (rp, dF, t)) != "equality"
+        assert stability_check(w, d, (rp, dF, t)) != "equality"
