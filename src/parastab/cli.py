@@ -356,9 +356,12 @@ def _load(args: argparse.Namespace) -> Any:
 
 
 def _agree(doc1: Document, doc2: Document, *fields: str) -> None:
+    """Refuse two documents that differ in a named field or in their point count."""
     for field in fields:
         if getattr(doc1, field) != getattr(doc2, field):
             raise InputError(f"documents disagree on {field}")
+    if len(doc1.labels) != len(doc2.labels):
+        raise InputError("documents disagree on point count")
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +580,11 @@ def _cmd_dims(args) -> dict:
 )
 def _cmd_bounds(args) -> dict:
     doc = _load(args)
-    w2 = None if args.doc2 is None else _read_doc(args.doc2).weights
+    w2 = None
+    if args.doc2 is not None:
+        doc2 = _read_doc(args.doc2)
+        _agree(doc, doc2, "r")
+        w2 = doc2.weights
     t = None
     if args.pattern is not None:
         t = _parse_pattern(_parse_json(args.pattern), doc.r, doc.weights.npoints)
@@ -701,7 +708,8 @@ def _cmd_matrix_mp(args) -> dict:
 def _cmd_matrix_hecke(args) -> dict:
     if args.precision < 1:
         raise InputError(f"--precision must be at least 1, got {args.precision}")
-    return _fields(hecke_conjugation_check(_load(args), precision=args.precision))
+    # the report is exact at any precision; the option is range-checked and echoed
+    return {**_fields(hecke_conjugation_check(_load(args))), "precision": args.precision}
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,3 @@ class InputError(ValueError):
 
 class DomainError(ValueError):
     """Raised when structurally valid input violates a documented precondition."""
-
-
-class PrecisionError(DomainError):
-    """Raised when a truncated series holds too few terms to certify an answer."""

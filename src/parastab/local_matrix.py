@@ -5,8 +5,8 @@ matrices acting on row-major vectorizations.  A sign pattern of z-exponents
 (one per index pair) twists conjugation so that the parabolic stalk algebra
 maps onto plain matrices; the twisted conjugation matrix of a pair (A, B)
 is integral exactly when conjugation preserves that algebra.  All
-computations are exact over the rationals and no series is truncated; the
-Hecke check only certifies the precision its report declares.
+computations are exact over the rationals and no series is truncated, so the
+Hecke check reports every offending entry with its exact valuation.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError
 
 Rational = Union[int, Fraction]
 
@@ -173,12 +173,6 @@ def laurent_gcd(values: Sequence[Laurent]) -> Laurent:
     return acc.shift(vmin)
 
 
-def _certify(bound: int) -> None:
-    """A value known below ``bound`` has certified negative part only if bound > 0."""
-    if bound <= 0:
-        raise PrecisionError(f"cannot certify exponents in [{bound}, 0); raise the precision")
-
-
 @dataclass(frozen=True)
 class LaurentMatrix:
     """Immutable matrix with exact Laurent entries."""
@@ -254,14 +248,6 @@ class LaurentMatrix:
             for r2 in other.rows:
                 out.append(tuple(a * b if a.coeffs else L_ZERO for a in r1 for b in r2))
         return LaurentMatrix(tuple(out))
-
-    def power(self, k: int) -> "LaurentMatrix":
-        if self.nrows != self.ncols or k < 0:
-            raise DomainError("power needs a square matrix and k >= 0")
-        acc = LaurentMatrix.identity(self.nrows)
-        for _ in range(k):
-            acc = acc @ self
-        return acc
 
     def det(self) -> Laurent:
         return self.det_adjugate[0]
@@ -645,10 +631,9 @@ class HeckeReport:
     k: int
     integral: bool
     offenders: tuple[tuple[int, int, int], ...]
-    precision: int
 
 
-def hecke_conjugation_check(a: LaurentMatrix, precision: int = 24) -> HeckeReport:
+def hecke_conjugation_check(a: LaurentMatrix) -> HeckeReport:
     """Check whether conjugation by ``a`` preserves the parabolic stalk algebra.
 
     Reports integrality of the twisted conjugation matrix of (a, a^{-1}),
@@ -662,37 +647,23 @@ def hecke_conjugation_check(a: LaurentMatrix, precision: int = 24) -> HeckeRepor
     Laurent series ring is a domain: the entry is nonzero exactly when both
     factors are, with valuation val(a[x][c]) + val(adj[d][y]) - v + [d<c]
     - [y<x], and it is an offender when that is negative.  No inverse or
-    conjugation matrix is built.  A non-monomial determinant still has its
-    inverse declared known only below ``precision``, so every entry must
-    be certified at its negative exponents, in (c, d, x, y) order, or
-    PrecisionError names the first bound that fails.
+    conjugation matrix is built, and no series is truncated, so the report
+    is exact whether or not the determinant is a monomial.
     """
     n = a.nrows
     if a.ncols != n:
         raise DomainError("expected a square matrix")
-    if precision < 1:
-        raise DomainError("precision must be positive")
     det, adj = a.det_adjugate
     if det.is_zero():
         raise DomainError("matrix is singular")
     v = det.valuation()
     val_a = [[e.valuation() for e in row] for row in a.rows]
     val_inv = [[None if e.is_zero() else e.valuation() - v for e in row] for row in adj.rows]
-
-    def valuation(x: int, y: int, c: int, d: int) -> Optional[int]:
-        if val_a[x][c] is None or val_inv[d][y] is None:
-            return None
-        return val_a[x][c] + val_inv[d][y] + (d < c) - (y < x)
-
-    if not det.is_monomial():
-        for c, d, x, y in product(range(n), repeat=4):
-            e = valuation(x, y, c, d)
-            if e is not None:
-                _certify(precision + e)
     offenders = tuple(
         (tau(n, x, y), tau(n, c, d), e)
         for x, y, c, d in product(range(n), repeat=4)
-        if (e := valuation(x, y, c, d)) is not None and e < 0
+        if val_a[x][c] is not None and val_inv[d][y] is not None
+        and (e := val_a[x][c] + val_inv[d][y] + (d < c) - (y < x)) < 0
     )
     return HeckeReport(
         n=n,
@@ -701,5 +672,4 @@ def hecke_conjugation_check(a: LaurentMatrix, precision: int = 24) -> HeckeRepor
         k=v % n,
         integral=not offenders,
         offenders=offenders,
-        precision=precision,
     )

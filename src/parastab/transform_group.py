@@ -169,11 +169,6 @@ def inverse(t: NumTransform, r: int) -> NumTransform:
     return NumTransform(tuple(inv_perm), -1, t.tdeg, push(t.hecke))
 
 
-def is_dual_free(t: NumTransform) -> bool:
-    """True for words that never dualize."""
-    return t.sign == 1
-
-
 def reduce_dual_rank2(t: NumTransform, d: int) -> NumTransform:
     """Rewrite a rank-2 dualizing transform as a non-dualizing one.
 

@@ -62,12 +62,6 @@ class WeightSystem:
         """Sum of all weights over all points."""
         return sum((a for tup in self.weights for a in tup), Fraction(0))
 
-    def point_index(self, label: str) -> int:
-        try:
-            return self.points.index(label)
-        except ValueError:
-            raise DomainError(f"unknown point label {label!r}") from None
-
 
 def weight_system(
     weights: Sequence[Sequence[Rational]],
@@ -123,18 +117,6 @@ class ParabolicType:
 
     def complement(self) -> "ParabolicType":
         return ParabolicType(tuple(tuple(1 - v for v in row) for row in self.rows))
-
-    def reversed_rows(self) -> "ParabolicType":
-        """Reverse each row (step i maps to step r - i + 1)."""
-        return ParabolicType(tuple(tuple(reversed(row)) for row in self.rows))
-
-    @staticmethod
-    def all_ones(r: int, n: int) -> "ParabolicType":
-        return ParabolicType(tuple(tuple(1 for _ in range(r)) for _ in range(n)))
-
-    @staticmethod
-    def all_zero(r: int, n: int) -> "ParabolicType":
-        return ParabolicType(tuple(tuple(0 for _ in range(r)) for _ in range(n)))
 
     @staticmethod
     def from_indices(r: int, index_sets: Sequence[Sequence[int]]) -> "ParabolicType":

@@ -10,7 +10,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, settings
 
 from oracles import Wall
-from parastab import NumTransform, WeightSystem, is_generic, weight_system
+from parastab import LaurentMatrix, NumTransform, WeightSystem, is_generic, weight_system
 from parastab.chamber import wall_crossings
 from parastab.weights_core import wall_grid
 
@@ -81,6 +81,14 @@ def rand_transform(rng: random.Random, r: int, n: int) -> NumTransform:
         rng.randrange(-4, 5),
         tuple(rng.randrange(r) for _ in range(n)),
     )
+
+
+def matrix_power(m: LaurentMatrix, k: int) -> LaurentMatrix:
+    """The k-th power of a square matrix, by repeated products."""
+    acc = LaurentMatrix.identity(m.nrows)
+    for _ in range(k):
+        acc = acc @ m
+    return acc
 
 
 def crossed_walls(w1, w2, d, relevant_only=True) -> tuple[Wall, ...]:

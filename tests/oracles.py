@@ -30,7 +30,17 @@ from parastab import (
     reduce_dual_rank2,
     twist,
 )
-from parastab.local_matrix import L_ONE, L_ZERO, _certify, _dot, tau
+from parastab.local_matrix import L_ONE, L_ZERO, _dot, tau
+
+
+class PrecisionError(DomainError):
+    """Raised when a truncated series holds too few terms to certify an answer."""
+
+
+def _certify(bound: int) -> None:
+    """A value known below ``bound`` has certified negative part only if bound > 0."""
+    if bound <= 0:
+        raise PrecisionError(f"cannot certify exponents in [{bound}, 0); raise the precision")
 
 
 def det(m: LaurentMatrix) -> Laurent:
@@ -183,12 +193,15 @@ class TruncLaurent:
         return {e: c for e, c in self.known.coeffs.items() if e < 0}
 
 
-def hecke_conjugation_check(a: LaurentMatrix, precision: int = 24) -> HeckeReport:
+def hecke_conjugation_check(a: LaurentMatrix, precision: int) -> HeckeReport:
     """Entry-by-entry twisted conjugation of (a, a^{-1}) over truncated series.
 
     The inverse comes from the Leibniz determinant and the cofactor
-    adjugate; each of the n^4 products carries its own exponent bound and
-    raises PrecisionError when its negative part is not certified.
+    adjugate; a non-monomial determinant is inverted as a series known
+    below ``precision``.  Each of the n^4 products carries its own exponent
+    bound and raises PrecisionError when its negative part is not
+    certified, so the report is the exact one once ``precision`` exceeds
+    minus every entry's valuation.
     """
     n = a.nrows
     if a.ncols != n:
@@ -229,7 +242,6 @@ def hecke_conjugation_check(a: LaurentMatrix, precision: int = 24) -> HeckeRepor
         k=v % n,
         integral=not offenders,
         offenders=tuple(sorted(offenders)),
-        precision=precision,
     )
 
 

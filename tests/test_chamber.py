@@ -9,7 +9,6 @@ import pytest
 
 from parastab import (
     DomainError,
-    ParabolicType,
     admissible_rows,
     chamber_fingerprint,
     count_admissible,
@@ -67,7 +66,7 @@ def test_max_subdegree_examples():
     w3 = weight_system([[0, F(4, 5)], [0, F(3, 4)]])
     assert max_subdegree(w3, 1, parabolic_type([[1, 0], [1, 0]])) == 1
     with pytest.raises(DomainError):
-        max_subdegree(w, 0, ParabolicType.all_ones(2, 1))
+        max_subdegree(w, 0, parabolic_type([[1, 1]]))
     with pytest.raises(DomainError):
         max_subdegree(w, 0, parabolic_type([[1, 0, 0]]))
 
@@ -175,7 +174,7 @@ def test_duality_relation():
         dual = dual_weights(w)
         for t in admissible_types(r, n):
             assert (
-                max_subdegree(dual, -d, t.reversed_rows())
+                max_subdegree(dual, -d, parabolic_type([row[::-1] for row in t.rows]))
                 == -max_subdegree(w, d, t) - 1
             )
 

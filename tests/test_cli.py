@@ -355,15 +355,29 @@ def test_matrix_hecke_reports():
     assert json.loads(proc.stdout)["error"]["kind"] == "domain"
 
 
-def test_matrix_hecke_precision_starvation():
-    """Too short a series expansion is a loud failure, not a silent pass."""
-    doc = json.dumps([[{"1": "1"}, 0], [0, [[0, "1"], [1, "-1"]]]])
-    ok = run_cli("matrix-hecke", "--json", "--precision", "8", stdin=doc)
-    assert ok.returncode == 0
-    assert json.loads(ok.stdout)["integral"] is False
-    starved = run_cli("matrix-hecke", "--json", "--precision", "1", stdin=doc)
-    assert starved.returncode == 1
-    assert json.loads(starved.stdout)["error"]["kind"] == "domain"
+def test_matrix_hecke_precision_is_only_echoed():
+    """The report is exact: --precision changes nothing but its own echo."""
+    doc = [[{"1": "1"}, 0], [0, [[0, "1"], [1, "-1"]]]]
+    low, high = (main_json(["matrix-hecke", "--precision", p], doc) for p in ("1", "8"))
+    assert low[0] == high[0] == 0
+    assert (low[1].pop("precision"), high[1].pop("precision")) == (1, 8)
+    assert low[1] == high[1]
+    assert [2, 2, -1] in low[1]["offenders"]
+
+
+@pytest.mark.parametrize("field", ["r", "point count"])
+def test_disagreeing_documents_exit_two(tmp_path, field):
+    """Every command that reads two weight documents refuses a mismatch as an input error."""
+    other = {**RANK2_DOC, "points": RANK2_DOC["points"][:1], "symmetries": []}
+    if field == "r":
+        other = {**RANK3_DOC, "degree": RANK2_DOC["degree"]}
+    pair = {"first": RANK2_DOC, "second": other}
+    argvs = (["iso"], ["walls"], ["walls", "--all"], ["same-chamber"])
+    runs = [main_json(argv, pair) for argv in argvs]
+    runs.append(main_json(["bounds", "--doc2", write_doc(tmp_path, "b.json", other)], RANK2_DOC))
+    for code, payload in runs:
+        assert code == 2
+        assert payload["error"] == {"kind": "input", "message": f"documents disagree on {field}"}
 
 
 def test_fixtures_pass_and_rerun_identically():

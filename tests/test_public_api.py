@@ -5,11 +5,13 @@ to the list is a change to the public API and shows in this file.  Retired
 duplicate paths must not come back, in the package or in the submodule or
 class that defined them.  The parameters of the chamber and classification
 entry points are pinned too: none restates a field of a weight system or a
-curve it is also given.
+curve it is also given.  So are the Hecke check's parameter and report
+fields, which carry no precision.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import parastab
@@ -18,13 +20,13 @@ PUBLIC = [
     "AutResult", "CurveData", "DimsResult", "DomainError", "GenericityResult",
     "GenericityWitness", "GenusBounds", "HeckeReport", "InputError",
     "LIFT_FAITHFUL_MIN_GENUS", "Laurent", "LaurentMatrix", "NumTransform",
-    "OrdersResult", "ParabolicType", "PrecisionError", "WeightSystem", "act_on_rows",
+    "OrdersResult", "ParabolicType", "WeightSystem", "act_on_rows",
     "admissible_rows", "apply_to_degree", "apply_to_weights", "automorphism_group",
     "candidate_transforms", "chamber_fingerprint", "compose", "concentrated_orders",
     "count_admissible", "cyclic_matrix", "dim_nonreduced_stratum", "dims",
     "dual_weights", "genus_bounds", "h_matrix", "hecke_conjugation_check",
     "hecke_weights", "identity_transform", "inverse", "inverse_exact",
-    "is_concentrated", "is_degree_generic", "is_dual_free", "is_generic", "is_inner",
+    "is_concentrated", "is_degree_generic", "is_generic", "is_inner",
     "is_parabolic", "is_pure_tensor", "iso_transforms", "level_denominator",
     "make_transform", "max_subdegree", "mp_closed_form", "normalize", "numerator_rows",
     "owt", "parabolic_type", "pdeg", "rank1_factor", "reduce_dual_rank2", "s_min",
@@ -43,19 +45,25 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
-# Older duplicates of the fingerprint, wall-list and Hecke-check paths, and
-# uncalled Laurent methods, by the submodule or class that defined them; the
-# slow ones live on in tests/oracles.py.
+# Older duplicates of the fingerprint, wall-list and Hecke-check paths, the
+# precision emulation of the exact Hecke check, and methods and helpers no
+# library code called, by the submodule or class that defined them; the slow
+# ones and the series precision live on in tests/oracles.py.
 RETIRED = {
     "chamber": (
         "ChamberInvariant", "Wall", "admissible_types", "chamber_invariant", "walls_crossed",
     ),
+    "errors": ("PrecisionError",),
     "weights_core": ("wall_levels", "wall_values"),
     "local_matrix": (
-        "IndexMaps", "TruncLaurent", "index_maps", "inner_trace_conditions", "inverse_series",
-        "series_inverse",
+        "IndexMaps", "TruncLaurent", "_certify", "index_maps", "inner_trace_conditions",
+        "inverse_series", "series_inverse",
     ),
+    "transform_group": ("is_dual_free",),
     "Laurent": ("as_fraction", "is_constant", "truncated"),
+    "LaurentMatrix": ("power",),
+    "ParabolicType": ("all_ones", "all_zero", "reversed_rows"),
+    "WeightSystem": ("point_index",),
 }
 
 
@@ -70,7 +78,8 @@ def test_retired_duplicates_stay_gone():
 
 
 # rank, points and genus are read off the weight systems and the curve; only
-# candidate_transforms keeps r, since a curve carries no rank
+# candidate_transforms keeps r, since a curve carries no rank.  The Hecke
+# check is exact, so it takes no precision.
 SIGNATURES = {
     "chamber.chamber_fingerprint": ["w", "d"],
     "chamber.same_numerical_chamber": ["w1", "w2", "d"],
@@ -80,6 +89,7 @@ SIGNATURES = {
     "autgroup.automorphism_group": ["w", "d", "curve", "strict"],
     "autgroup.iso_transforms": ["w1", "d1", "w2", "d2", "curve_iso", "strict"],
     "autgroup.candidate_transforms": ["r", "d", "curve"],
+    "local_matrix.hecke_conjugation_check": ["a"],
 }
 
 
@@ -89,3 +99,8 @@ def test_entry_point_parameters_are_pinned():
         module, name = path.split(".")
         got[path] = list(inspect.signature(getattr(getattr(parastab, module), name)).parameters)
     assert got == SIGNATURES
+
+
+def test_hecke_report_declares_no_precision():
+    fields = [field.name for field in dataclasses.fields(parastab.HeckeReport)]
+    assert fields == ["n", "parabolic_input", "det_valuation", "k", "integral", "offenders"]

@@ -19,7 +19,6 @@ from parastab import (
     hecke_weights,
     identity_transform,
     inverse,
-    is_dual_free,
     is_generic,
     make_transform,
     normalize,
@@ -259,11 +258,3 @@ def test_reduce_dual_rank2_defining_property():
         assert apply_to_degree(red, d, 2) == apply_to_degree(t, d, 2)
         w = rand_weights(rng, 2, n)
         assert apply_to_weights(red, w) == apply_to_weights(t, w)
-
-
-def test_is_dual_free():
-    assert is_dual_free(identity_transform(2))
-    assert not is_dual_free(NumTransform((0,), -1, 0, (0,)))
-    t = NumTransform((0,), -1, 1, (1,))
-    assert is_dual_free(reduce_dual_rank2(NumTransform((0,), -1, 0, (1,)), 0))
-    assert not is_dual_free(t)
