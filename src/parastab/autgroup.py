@@ -1,25 +1,21 @@
 """Numerical classification of moduli automorphisms and isomorphisms.
 
-Candidate transformations are cut out by an exact degree equation, reduced
-to canonical class representatives (at rank 2 every dualizing candidate
-folds onto a non-dualizing one), and then filtered by the chamber
+Candidate transformations are cut out by an exact degree equation as
+canonical class representatives (at rank 2 every dualizing word equals a
+non-dualizing one, so none is generated), and then filtered by the chamber
 fingerprint.  Each surviving class lifts to a torsion group of line bundle
 twists of size r^(2g), so group orders come out as exact integers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, combinations, product, starmap
 from operator import eq
 from typing import Iterable, Iterator, Sequence
 
-from .chamber import chamber_fingerprint, fingerprint_floors
+from .chamber import fingerprint_floors
 from .errors import DomainError
-from .transform_group import (
-    NumTransform,
-    act_on_rows,
-    reduce_dual_rank2,
-)
+from .transform_group import NumTransform, act_on_row
 from .weights_core import (
     GenericityResult,
     WeightSystem,
@@ -29,6 +25,8 @@ from .weights_core import (
     level_denominator,
     normalize,
     numerator_rows,
+    picked_sums,
+    wall_grid,
 )
 
 # below this genus the torsion lifts of distinct classes may coincide
@@ -89,46 +87,96 @@ def trivial_curve(genus: int, points: Sequence[str]) -> CurveData:
     return CurveData(genus=genus, points=tuple(points))
 
 
+Word = tuple[tuple[int, ...], int, int, tuple[int, ...]]
+
+
 def _degree_pinned(
     r: int, n: int, perms: Sequence[tuple[int, ...]], d_from: int, d_to: int
-) -> Iterator[NumTransform]:
+) -> Iterator[Word]:
     """Each class representative carrying degree d_from to d_to, once, in perm order.
 
-    The degree equation r*tdeg = sign*d_to - d_from + |H| pins the twist
-    degree whenever it is solvable.  At rank 2 dualizing candidates are
-    folded onto their non-dualizing representatives and deduplicated.
+    A representative is the tuple (perm, sign, tdeg, hecke) of a canonical
+    word.  The degree equation r*tdeg = sign*d_to - d_from + |H| pins the
+    twist degree whenever it is solvable.  At rank 2 a dualizing word equals
+    the non-dualizing one with the same perm and Hecke values
+    (``reduce_dual_rank2``), whose equation has the same parity and the
+    twist degree it reduces to, so only sign +1 is generated.
     """
-    seen = set()
     for perm in perms:
-        for sign in (1, -1):
+        for sign in (1,) if r == 2 else (1, -1):
+            offset = sign * d_to - d_from
             for hecke in product(range(r), repeat=n):
-                numerator = sign * d_to - d_from + sum(hecke)
-                if numerator % r:
-                    continue
-                cand = NumTransform(perm, sign, numerator // r, hecke)
-                if r == 2 and sign == -1:
-                    cand = reduce_dual_rank2(cand, d_from)
-                if cand not in seen:
-                    seen.add(cand)
-                    yield cand
+                numerator = offset + sum(hecke)
+                if not numerator % r:
+                    yield perm, sign, numerator // r, hecke
 
 
 def _chamber_preserving(
-    candidates: Iterable[NumTransform], w_from: WeightSystem, d_to: int, w_to: WeightSystem
+    candidates: Iterable[Word], w_from: WeightSystem, d_to: int, w_to: WeightSystem
 ) -> tuple[NumTransform, ...]:
     """The candidates whose image of w_from has w_to's fingerprint at degree d_to.
 
-    Candidates act on integer rows over one common denominator, and each stops
-    at its first fingerprint value that differs.
+    Candidates act on integer rows over one common denominator.  An image
+    row depends only on its source point, Hecke value and sign, so each such
+    row is built once per call, and its picked sums per subrank when a
+    candidate first reaches that subrank; a candidate only places them by
+    its perm.  A candidate whose image rows
+    are w_to's normalized rows (the identity in ``aut``) survives without
+    a comparison, since the fingerprint is translation-invariant.  Any other
+    stops at its first fingerprint value that differs, and w_to's
+    fingerprint is read only as far as some candidate has matched it.
     """
-    ref = chamber_fingerprint(w_to, d_to)
+    r, n = w_from.rank, w_from.npoints
     q = level_denominator(w_from, w_to)
+    to_rows = numerator_rows(w_to, q)
+    target = [act_on_row(row, 0, 1, q) for row in to_rows]
+    ref: list[int] = []
+    ref_floors = fingerprint_floors(to_rows, d_to, q)
+
+    def read_on(value: int) -> bool:
+        known = next(ref_floors)
+        ref.append(known)
+        return value == known
+
+    # image[s][r*i + h]: point i's row under Hecke value h, dualized when s
     rows = numerator_rows(w_from, q)
-    return tuple(
-        cand
-        for cand in candidates
-        if all(map(eq, ref, fingerprint_floors(act_on_rows(cand, rows, q), d_to, q)))
-    )
+    image = [
+        [act_on_row(row, h, sign, q) for row in rows for h in range(r)] for sign in (1, -1)
+    ]
+    grid = [(rp, *wall_grid(r, rp, q, d_to)) for rp in range(1, r)]
+    tables: dict[tuple[int, int], list[list[int]]] = {}
+
+    def picked(s: int, rp: int) -> list[list[int]]:
+        if (s, rp) not in tables:
+            picks = tuple(combinations(range(1, r + 1), rp))
+            tables[s, rp] = [picked_sums(row, picks) for row in image[s]]
+        return tables[s, rp]
+
+    sources: dict[tuple[int, ...], list[int]] = {}
+    survivors = []
+    for cand in candidates:
+        perm, sign, _, hecke = cand
+        if perm not in sources:
+            sources[perm] = sorted(range(n), key=perm.__getitem__)
+        s = sign == -1
+        # the key of the image row at each position
+        keys = [r * i + hecke[i] for i in sources[perm]]
+        placed = list(map(image[s].__getitem__, keys))
+        if placed != target:
+            total = sum(map(sum, placed))
+            # fingerprint_floors over the placed tables: (L + shift) // width, lazily
+            floors = chain.from_iterable(
+                map(
+                    width.__rfloordiv__,
+                    map((rp * total + shift).__sub__,
+                        map(sum, product(*map(picked(s, rp).__getitem__, keys)))),
+                )
+                for rp, shift, width in grid
+            )
+            if not (all(map(eq, ref, floors)) and all(map(read_on, floors))):
+                continue
+        survivors.append(NumTransform(*cand))
+    return tuple(survivors)
 
 
 def candidate_transforms(r: int, d: int, curve: CurveData) -> tuple[NumTransform, ...]:
@@ -136,7 +184,7 @@ def candidate_transforms(r: int, d: int, curve: CurveData) -> tuple[NumTransform
     if r < 2:
         raise DomainError("rank must be at least 2")
     perms = [perm for perm, _ in curve.symmetries]
-    return tuple(_degree_pinned(r, curve.npoints, perms, d, d))
+    return tuple(starmap(NumTransform, _degree_pinned(r, curve.npoints, perms, d, d)))
 
 
 @dataclass(frozen=True)

@@ -76,22 +76,30 @@ def make_transform(
     )
 
 
+def act_on_row(row: Sequence[int], h: int, sign: int, q: int) -> list[int]:
+    """One point's image row: ``row`` is q times its tuple, h its Hecke value.
+
+    A Hecke shift by h reads row[h:], then row[:h] raised by q, minus row[h];
+    when dualizing (sign -1) that becomes top - a over the reversed row.  The
+    image row starts at 0, whether or not the input does.
+    """
+    base = row[h]
+    moved = [a - base for a in row[h:]] + [a + q - base for a in row[:h]]
+    if sign == -1:
+        top = moved[-1]
+        moved = [top - a for a in reversed(moved)]
+    return moved
+
+
 def act_on_rows(t: NumTransform, rows: Sequence[Sequence[int]], q: int) -> list[list[int]]:
     """The action on weights scaled by q: ``rows[i]`` is q times point i's tuple.
 
-    A Hecke shift by h reads row[h:], then row[:h] raised by q, minus row[h];
-    the shifted row lands at position perm[i] and, when dualizing, becomes
-    top - a over the reversed row.  Every image row starts at 0, so the
-    output is normalized whether or not the input is.
+    Point i's ``act_on_row`` lands at position perm[i], so the output is
+    normalized whether or not the input is.
     """
     out: list[list[int]] = [[]] * len(rows)
     for row, h, image in zip(rows, t.hecke, t.perm):
-        base = row[h]
-        moved = [a - base for a in row[h:]] + [a + q - base for a in row[:h]]
-        if t.sign == -1:
-            top = moved[-1]
-            moved = [top - a for a in reversed(moved)]
-        out[image] = moved
+        out[image] = act_on_row(row, h, t.sign, q)
     return out
 
 

@@ -255,6 +255,12 @@ def numerator_rows(w: WeightSystem, q: int) -> list[list[int]]:
     return [[a.numerator * (q // a.denominator) for a in tup] for tup in w.weights]
 
 
+def picked_sums(row: Sequence[int], picks: Iterable[tuple[int, ...]]) -> list[int]:
+    """One point's share of the levels: r times the entries of ``row`` at each 1-based pick."""
+    r = len(row)
+    return [r * sum(row[i - 1] for i in c) for c in picks]
+
+
 def row_levels(
     rows: Sequence[Sequence[int]],
 ) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], Iterator[int]]]:
@@ -274,7 +280,7 @@ def row_levels(
     def block(rp: int) -> tuple[int, tuple[tuple[int, ...], ...], Iterator[int]]:
         picks = tuple(combinations(range(1, r + 1), rp))
         # the level is additive over points: one picked-sum table per point
-        picked = [[r * sum(row[i - 1] for i in c) for c in picks] for row in rows]
+        picked = [picked_sums(row, picks) for row in rows]
         return rp, picks, map((rp * total).__sub__, map(sum, product(*picked)))
 
     # a lazy map, so each subrank's tables are built only when reached

@@ -28,6 +28,7 @@ from parastab import (
     act_on_rows,
     apply_to_degree,
     apply_to_weights,
+    autgroup,
     automorphism_group,
     candidate_transforms,
     chamber_fingerprint,
@@ -44,7 +45,7 @@ from parastab import (
     weight_system,
     weights_core,
 )
-from parastab.chamber import wall_crossings
+from parastab.chamber import fingerprint_floors, wall_crossings
 from parastab.weights_core import first_on_wall, row_levels, wall_grid
 
 F = Fraction
@@ -93,6 +94,13 @@ WIDE_GENERIC = weight_system(
     [[F(0), F(1, 5), F(2, 5), F(3, 5), F(4, 5)]] * 3
     + [[F(0), F(1, 10), F(1, 5), F(3, 10), F(1, 2)]]
 )
+
+# two equal points, so the swap (and at some degrees a dual) is an automorphism
+TWIN = weight_system([[F(1, 8), F(3, 8), F(7, 8)]] * 2 + [[F(1, 5), F(2, 5), F(4, 5)]])
+# 40 and 63 are the systems' own denominators; the filter works over 2520
+ISO_FROM = weight_system([[F(1, 8), F(3, 8), F(7, 8)], [F(1, 5), F(2, 5), F(4, 5)]])
+ISO_TO = weight_system([[F(0), F(2, 9), F(7, 9)], [F(1, 7), F(4, 7), F(5, 7)]])
+MIXED_TO = weight_system([[F(1, 9), F(5, 9)], [F(2, 7), F(3, 7)]])
 
 
 @settings(max_examples=30)
@@ -331,6 +339,8 @@ def relabelings(draw, n: int):
 ))
 @example((MIXED, 0, [(0, 1), (1, 0)]))
 @example((RANK3, -1, [(0,)]))
+@example((TWIN, 1, [(0, 1, 2), (1, 0, 2)]))
+@example((TWIN, 2, [(0, 1, 2), (1, 0, 2)]))
 def test_automorphism_group_matches_old_loop(case):
     w, d, perms = case
     r, n = w.rank, w.npoints
@@ -348,6 +358,10 @@ def test_automorphism_group_matches_old_loop(case):
 ))
 @example((MIXED, 0, MIXED, 0, [(0, 1), (1, 0)]))
 @example((RANK3, -1, RANK3, 1, [(0,)]))
+@example((ISO_FROM, 1, ISO_TO, -3, [(0, 1), (1, 0)]))
+@example((MIXED, 0, MIXED_TO, 1, [(0, 1), (1, 0)]))
+@example((MIXED, 1, dual_weights(MIXED), -1, [(0, 1)]))
+@example((ISO_FROM, 0, ISO_TO, -1, [(0, 1), (1, 0)]))
 def test_iso_transforms_matches_old_loop(case):
     w1, d1, w2, d2, perms = case
     r, n = w1.rank, w1.npoints
@@ -384,11 +398,6 @@ def test_row_action_matches_fraction_oracle(case):
             assert act_on_rows(t, wide, k * q) == numerator_rows(old, k * q)
 
 
-# 40 and 63 are the systems' own denominators; the filter works over 2520
-ISO_FROM = weight_system([[F(1, 8), F(3, 8), F(7, 8)], [F(1, 5), F(2, 5), F(4, 5)]])
-ISO_TO = weight_system([[F(0), F(2, 9), F(7, 9)], [F(1, 7), F(4, 7), F(5, 7)]])
-
-
 def test_iso_over_a_common_denominator_and_two_degrees():
     q = level_denominator(ISO_FROM, ISO_TO)
     assert q not in (level_denominator(ISO_FROM), level_denominator(ISO_TO))
@@ -399,10 +408,9 @@ def test_iso_over_a_common_denominator_and_two_degrees():
     )
     assert found == oracles.iso_classes(3, 2, 1, ISO_FROM, -3, ISO_TO, [(0, 1), (1, 0)])
     assert iso_transforms(ISO_FROM, 1, ISO_TO, 1, curve_iso=[(1, 0)]) == ()
-    mixed_to = weight_system([[F(1, 9), F(5, 9)], [F(2, 7), F(3, 7)]])
-    found2 = iso_transforms(MIXED, 0, mixed_to, 1, curve_iso=[(1, 0)])
+    found2 = iso_transforms(MIXED, 0, MIXED_TO, 1, curve_iso=[(1, 0)])
     assert found2 == (NumTransform((0, 1), 1, 1, (1, 0)), NumTransform((1, 0), 1, 1, (1, 0)))
-    assert found2 == oracles.iso_classes(2, 2, 0, MIXED, 1, mixed_to, [(0, 1), (1, 0)])
+    assert found2 == oracles.iso_classes(2, 2, 0, MIXED, 1, MIXED_TO, [(0, 1), (1, 0)])
 
 
 def test_iso_rank2_dual_folds_onto_a_twist():
@@ -415,6 +423,28 @@ def test_iso_rank2_dual_folds_onto_a_twist():
     assert apply_to_weights(plain_dual, MIXED) == dual
     assert reduce_dual_rank2(plain_dual, 1) == NumTransform((0, 1), 1, -1, (0, 0))
     assert found == (NumTransform((0, 1), 1, -1, (0, 0)), NumTransform((0, 1), 1, 0, (1, 1)))
+
+
+def test_filter_reads_the_reference_only_as_far_as_matched(monkeypatch):
+    """No iso candidate survives, and aut never compares its identity."""
+    read = []
+
+    def counted(rows, d, q):
+        return map(lambda value: read.append(value) or value, fingerprint_floors(rows, d, q))
+
+    monkeypatch.setattr(autgroup, "fingerprint_floors", counted)
+    full = count_admissible(3, 2)
+    assert iso_transforms(ISO_FROM, 0, ISO_TO, -1, curve_iso=[(1, 0)]) == ()
+    assert 0 < len(read) < full
+    read.clear()
+    classes = automorphism_group(ISO_FROM, 1, CurveData(2, ISO_FROM.points)).classes
+    assert classes == (NumTransform((0, 1), 1, 0, (0, 0)),)
+    assert len(read) < full
+    # the swap of equal points survives without a comparison too
+    read.clear()
+    swap = CurveData(2, TWIN.points, (((1, 0, 2), 1),))
+    assert len(automorphism_group(TWIN, 1, swap).classes) == 2
+    assert len(read) < count_admissible(3, 3)
 
 
 RANK1 = weight_system([[F(1, 3)], [F(1, 2)]])
