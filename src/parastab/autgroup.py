@@ -152,6 +152,8 @@ def _chamber_preserving(
             tables[s, rp] = [picked_sums(row, picks) for row in image[s]]
         return tables[s, rp]
 
+    # the first value picks each image row's leading 0, so it reads the row total alone
+    _, head_shift, head_width = grid[0]
     sources: dict[tuple[int, ...], list[int]] = {}
     survivors = []
     for cand in candidates:
@@ -164,6 +166,9 @@ def _chamber_preserving(
         placed = list(map(image[s].__getitem__, keys))
         if placed != target:
             total = sum(map(sum, placed))
+            head = (total + head_shift) // head_width
+            if not (ref[0] == head if ref else read_on(head)):
+                continue
             # fingerprint_floors over the placed tables: (L + shift) // width, lazily
             floors = chain.from_iterable(
                 map(

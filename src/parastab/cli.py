@@ -29,59 +29,57 @@ import sys
 from fractions import Fraction
 from itertools import chain, combinations, product
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-from .autgroup import (
-    AutResult,
-    CurveData,
-    automorphism_group,
-    concentrated_orders,
-    iso_transforms,
-    trivial_curve,
-)
-from .chamber import (
-    chamber_fingerprint,
-    pick_rows,
-    same_numerical_chamber,
-    subdegree_bounds,
-    wall_crossings,
-)
 from .errors import DomainError, InputError
-from .local_matrix import (
-    Laurent,
-    LaurentMatrix,
-    hecke_conjugation_check,
-    inner_factor,
-    is_pure_tensor,
-    mp_closed_form,
-    rank1_factor,
-    xi_matrix,
-)
-from .transform_group import (
-    NumTransform,
-    apply_to_degree,
-    apply_to_weights,
-    compose,
-    hecke_weights,
-    inverse,
-    make_transform,
-)
-from .weights_core import (
-    ParabolicType,
-    WeightSystem,
-    dim_nonreduced_stratum,
-    dims,
-    genus_bounds,
-    is_concentrated,
-    is_degree_generic,
-    is_generic,
-    normalize,
-    owt,
-    pdeg,
-    s_min,
-    wall_grid,
-    weight_system,
-)
+
+# The names cli calls from each module that it loads on demand.  Each command
+# names the modules it uses, and ``main`` binds their names into this module
+# before the handler runs, so a command loads no layer it does not use.
+_LAYER_NAMES: dict[str, tuple[str, ...]] = {
+    "weights_core": (
+        "ParabolicType", "dim_nonreduced_stratum", "dims", "genus_bounds", "is_concentrated",
+        "is_degree_generic", "is_generic", "normalize", "owt", "pdeg", "s_min", "wall_grid",
+        "weight_system",
+    ),
+    "chamber": (
+        "chamber_fingerprint", "pick_rows", "same_numerical_chamber", "subdegree_bounds",
+        "wall_crossings",
+    ),
+    "transform_group": (
+        "apply_to_degree", "apply_to_weights", "compose", "inverse", "make_transform",
+    ),
+    "autgroup": (
+        "CurveData", "automorphism_group", "concentrated_orders", "iso_transforms",
+        "trivial_curve",
+    ),
+    "local_matrix": (
+        "Laurent", "LaurentMatrix", "hecke_conjugation_check", "inner_factor",
+        "is_pure_tensor", "mp_closed_form", "rank1_factor", "xi_matrix",
+    ),
+    "_claims": ("FIXTURE_CLAIMS",),
+}
+_BOUND: set[str] = set()
+
+
+def _bind(layers: Iterable[str]) -> None:
+    """Import each layer once and bind the names cli uses from it, at module level."""
+    for layer in layers:
+        if layer not in _BOUND:
+            path = f"{__package__}.{layer}"
+            __import__(path)  # unlike importlib.import_module, seen by -X importtime
+            module = sys.modules[path]
+            for name in _LAYER_NAMES[layer]:
+                globals()[name] = getattr(module, name)
+            _BOUND.add(layer)
+
+
+# the layers of each family of commands
+_CORE = ("weights_core",)
+_WALLS = (*_CORE, "chamber")
+_WORDS = (*_CORE, "transform_group")
+_CLASSES = (*_CORE, "autgroup")
+_MATRIX = ("local_matrix",)
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _INTEGER_RE = re.compile(r"^[+-]?\d+$")
@@ -122,6 +120,7 @@ class Document:
     """Parsed weight document plus the optional curve fields."""
 
     def __init__(self, obj: Any) -> None:
+        _bind(_CORE)  # a Document also parses outside ``main``
         if not isinstance(obj, dict):
             raise InputError("document must be a JSON object")
         self.r = _parse_int(_require(obj, "r", "document"), "r")
@@ -186,6 +185,7 @@ class Document:
     def curve(self) -> CurveData:
         if self.genus is None:
             raise InputError("document needs a genus for this subcommand")
+        _bind(_CLASSES)
         try:
             if self.symmetries:
                 return CurveData(self.genus, self.labels, self.symmetries)
@@ -368,18 +368,22 @@ def _agree(doc1: Document, doc2: Document, *fields: str) -> None:
 # serialization
 
 
+# by class name, so that writing a value needs no layer the command did not load
+_JSON_FORMS: dict[str, Callable[[Any], Any]] = {
+    "Fraction": str,
+    "Laurent": lambda value: sorted(value.coeffs.items()),
+    "LaurentMatrix": lambda value: value.rows,
+    "NumTransform": vars,
+}
+
+
 def _to_json(value: Any) -> Any:
     """The JSON form of an exact value: rationals as strings, Laurent
     polynomials as sorted [exponent, coefficient] pairs."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, Laurent):
-        return sorted(value.coeffs.items())
-    if isinstance(value, LaurentMatrix):
-        return value.rows
-    if isinstance(value, NumTransform):
-        return vars(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    form = _JSON_FORMS.get(type(value).__name__)
+    if form is None:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+    return form(value)
 
 
 def _ser_weights(w: WeightSystem, degree: int) -> dict:
@@ -453,11 +457,14 @@ def _arg(*flags: str, **options: Any) -> tuple:
     return flags, options
 
 
-def _command(name: str, help: str, kind: Optional[str] = None, *extra: tuple):
-    """Register a handler under ``name``, reading the input ``kind`` of _KINDS."""
+def _command(
+    name: str, help: str, kind: Optional[str] = None, *extra: tuple, layers: tuple[str, ...]
+):
+    """Register a handler under ``name``, reading the input ``kind`` of _KINDS
+    and calling into the modules ``layers`` of _LAYER_NAMES."""
 
     def register(handler: Callable[[argparse.Namespace], dict]):
-        _COMMANDS.append((name, help, kind, extra, handler))
+        _COMMANDS.append((name, help, kind, extra, layers, handler))
         return handler
 
     return register
@@ -466,7 +473,7 @@ def _command(name: str, help: str, kind: Optional[str] = None, *extra: tuple):
 _STRICT = _arg("--strict", action="store_true", help="require generic weights")
 
 
-@_command("normalize", "canonical translation representative", "doc")
+@_command("normalize", "canonical translation representative", "doc", layers=_CORE)
 def _cmd_normalize(args) -> dict:
     doc = _load(args)
     return _ser_weights(normalize(doc.weights), doc.degree)
@@ -475,6 +482,7 @@ def _cmd_normalize(args) -> dict:
 @_command(
     "owt", "selected-weight sum, pdeg and twisting slack", "doc",
     _arg("--pattern", required=True, help="JSON rows of 0/1 or 1-based picks"),
+    layers=_CORE,
 )
 def _cmd_owt(args) -> dict:
     doc = _load(args)
@@ -487,7 +495,7 @@ def _cmd_owt(args) -> dict:
     }
 
 
-@_command("invariant", "chamber fingerprint over admissible patterns", "doc")
+@_command("invariant", "chamber fingerprint over admissible patterns", "doc", layers=_WALLS)
 def _cmd_invariant(args) -> dict:
     doc = _load(args)
     n = doc.weights.npoints
@@ -503,7 +511,7 @@ def _cmd_invariant(args) -> dict:
     }
 
 
-@_command("same-chamber", "compare two fingerprints", "pair")
+@_command("same-chamber", "compare two fingerprints", "pair", layers=_WALLS)
 def _cmd_same_chamber(args) -> dict:
     doc1, doc2 = _load(args)
     _agree(doc1, doc2, "r", "degree")
@@ -520,6 +528,7 @@ def _cmd_same_chamber(args) -> dict:
 @_command(
     "walls", "integer wall levels crossed between two systems", "pair",
     _arg("--all", action="store_true", help="include degree-irrelevant walls"),
+    layers=_WALLS,
 )
 def _cmd_walls(args) -> dict:
     doc1, doc2 = _load(args)
@@ -528,7 +537,7 @@ def _cmd_walls(args) -> dict:
     return {"degree": doc1.degree, "count": count, "walls": walls}
 
 
-@_command("generic", "wall membership tests", "doc")
+@_command("generic", "wall membership tests", "doc", layers=_CORE)
 def _cmd_generic(args) -> dict:
     doc = _load(args)
     blanket = is_generic(doc.weights)
@@ -543,7 +552,7 @@ def _cmd_generic(args) -> dict:
     }
 
 
-@_command("concentrated", "per-point weight spread test", "doc")
+@_command("concentrated", "per-point weight spread test", "doc", layers=_CORE)
 def _cmd_concentrated(args) -> dict:
     w = _load(args).weights
     return {
@@ -559,6 +568,7 @@ def _cmd_concentrated(args) -> dict:
     _arg("--points", type=int, required=True),
     _arg("--rank", type=int, required=True),
     _arg("--stratum", type=int, default=None),
+    layers=_CORE,
 )
 def _cmd_dims(args) -> dict:
     payload = _fields(dims(args.genus, args.points, args.rank))
@@ -577,6 +587,7 @@ def _cmd_dims(args) -> dict:
     _arg("--l", type=int, default=1),
     _arg("--m", type=int, default=0),
     _arg("--k", type=int, default=0),
+    layers=_CORE,
 )
 def _cmd_bounds(args) -> dict:
     doc = _load(args)
@@ -595,6 +606,7 @@ def _cmd_bounds(args) -> dict:
 @_command(
     "transform", "apply a transformation word", "doc",
     _arg("--word", required=True, help="JSON {perm, sign, tdeg, hecke}"),
+    layers=_WORDS,
 )
 def _cmd_transform(args) -> dict:
     doc = _load(args)
@@ -608,6 +620,7 @@ def _cmd_transform(args) -> dict:
     _arg("--rank", type=int, required=True),
     _arg("word1", help="JSON transform (acts second)"),
     _arg("word2", help="JSON transform (acts first)"),
+    layers=_WORDS,
 )
 def _cmd_compose(args) -> dict:
     t1 = _parse_word(args.word1, args.rank)
@@ -619,12 +632,13 @@ def _cmd_compose(args) -> dict:
     "inverse", "inverse word in normal form", None,
     _arg("--rank", type=int, required=True),
     _arg("word", help="JSON transform"),
+    layers=_WORDS,
 )
 def _cmd_inverse(args) -> dict:
     return {"word": inverse(_parse_word(args.word, args.rank), args.rank)}
 
 
-@_command("aut", "degree- and chamber-preserving classes", "doc", _STRICT)
+@_command("aut", "degree- and chamber-preserving classes", "doc", _STRICT, layers=_CLASSES)
 def _cmd_aut(args) -> dict:
     doc = _load(args)
     result = automorphism_group(doc.weights, doc.degree, doc.curve(), strict=args.strict)
@@ -638,6 +652,7 @@ def _cmd_aut(args) -> dict:
     "iso", "classes carrying one space onto another", "pair",
     _arg("--perms", default=None, help="JSON list of extra point relabelings"),
     _STRICT,
+    layers=_CLASSES,
 )
 def _cmd_iso(args) -> dict:
     doc1, doc2 = _load(args)
@@ -667,17 +682,21 @@ def _cmd_iso(args) -> dict:
     _arg("--rank", type=int, required=True),
     _arg("--points", type=int, required=True),
     _arg("--aut-order", type=int, default=1, dest="aut_order"),
+    layers=_CLASSES,
 )
 def _cmd_orders(args) -> dict:
     return _fields(concentrated_orders(args.genus, args.rank, args.points, args.aut_order))
 
 
-@_command("matrix-xi", "the exponent pattern matrix", None, _arg("--n", type=int, required=True))
+@_command(
+    "matrix-xi", "the exponent pattern matrix", None, _arg("--n", type=int, required=True),
+    layers=_MATRIX,
+)
 def _cmd_matrix_xi(args) -> dict:
     return {"n": args.n, "xi": xi_matrix(args.n)}
 
 
-@_command("matrix-rank1", "outer-product factorization", "matrix")
+@_command("matrix-rank1", "outer-product factorization", "matrix", layers=_MATRIX)
 def _cmd_matrix_rank1(args) -> dict:
     factored = rank1_factor(_load(args).rows)
     col, row = factored or (None, None)
@@ -687,6 +706,7 @@ def _cmd_matrix_rank1(args) -> dict:
 @_command(
     "matrix-mp", "twisted conjugation matrix of a pair", "matrices",
     _arg("--check-inner", action="store_true", dest="check_inner"),
+    layers=_MATRIX,
 )
 def _cmd_matrix_mp(args) -> dict:
     a, b = _load(args)
@@ -704,6 +724,7 @@ def _cmd_matrix_mp(args) -> dict:
 @_command(
     "matrix-hecke", "does conjugation preserve the stalk algebra", "matrix",
     _arg("--precision", type=int, default=24),
+    layers=_MATRIX,
 )
 def _cmd_matrix_hecke(args) -> dict:
     if args.precision < 1:
@@ -712,108 +733,7 @@ def _cmd_matrix_hecke(args) -> dict:
     return {**_fields(hecke_conjugation_check(_load(args))), "precision": args.precision}
 
 
-# ---------------------------------------------------------------------------
-# fixtures: the frozen example families, one named claim each
-
-# claim name -> check returning (holds, detail), in report order
-FIXTURE_CLAIMS: dict[str, Callable[[], tuple[bool, str]]] = {}
-
-
-def _claim(name: str):
-    def register(check: Callable[[], tuple[bool, str]]):
-        FIXTURE_CLAIMS[name] = check
-        return check
-
-    return register
-
-
-def _rank2_member(a2: Fraction) -> WeightSystem:
-    """Base weights (1/10, a2) at x, partner point (a2 - 1/2, 1/10 + 1/2) at y."""
-    a1 = Fraction(1, 10)
-    return weight_system([[a1, a2], [a2 - Fraction(1, 2), a1 + Fraction(1, 2)]], points=["x", "y"])
-
-
-def _classes(result: AutResult) -> list:
-    return sorted((t.perm, t.sign, t.tdeg, t.hecke) for t in result.classes)
-
-
-_ALPHA3 = weight_system([[Fraction(1, 8), Fraction(3, 8), Fraction(7, 8)]])
-_ALPHA4 = weight_system([[Fraction(1, 16), Fraction(3, 16), Fraction(5, 16), Fraction(15, 16)]])
-
-
-@_claim("rank2 full Hecke shift equals the point swap")
-def _rank2_swap() -> tuple[bool, str]:
-    swap = NumTransform((1, 0), 1, 0, (0, 0))
-    ok, shown = True, []
-    for a2 in (Fraction(3, 5), Fraction(7, 10)):
-        member = _rank2_member(a2)
-        lhs = hecke_weights(normalize(member), (1, 1))
-        ok = ok and lhs == apply_to_weights(swap, member)
-        shown.append([[str(a) for a in t] for t in lhs.weights])
-    return ok, f"{shown}"
-
-
-@_claim("rank2 classes are the identity and the swapped full Hecke shift")
-def _rank2_classes() -> tuple[bool, str]:
-    curve = CurveData(genus=2, points=("x", "y"), symmetries=(((1, 0), 1),))
-    result = automorphism_group(_rank2_member(Fraction(7, 10)), 0, curve)
-    got = _classes(result)
-    want = [((0, 1), 1, 0, (0, 0)), ((1, 0), 1, 1, (1, 1))]
-    return got == want and result.order == 2 ** 4 * 2, f"classes={got} order={result.order}"
-
-
-@_claim("rank2 single and double Hecke shifts leave the chamber")
-def _rank2_separated() -> tuple[bool, str]:
-    base = normalize(_rank2_member(Fraction(7, 10)))
-    images = [hecke_weights(base, h) for h in ((1, 0), (0, 1), (1, 1))]
-    separated = not any(same_numerical_chamber(image, base, 0) for image in images)
-    return separated, "compared against the fingerprint at degree 0"
-
-
-@_claim("rank3 Hecke shift value")
-def _rank3_shift() -> tuple[bool, str]:
-    shifted = hecke_weights(_ALPHA3, (1,)).weights[0]
-    return shifted == (Fraction(0), Fraction(1, 2), Fraction(3, 4)), f"{[str(a) for a in shifted]}"
-
-
-def _involution_claims(r: int, alpha: WeightSystem, shift: int, shifted: str, image: str) -> None:
-    """The dualized Hecke shift t = ((0,), -1, 1, (shift,)) of a one-point family."""
-    t = NumTransform((0,), -1, 1, (shift,))
-
-    @_claim(f"rank{r} dualized {shifted} fixes the weight class")
-    def _fixes() -> tuple[bool, str]:
-        return apply_to_weights(t, alpha) == normalize(alpha), image
-
-    @_claim(f"rank{r} involution squares to the identity and fixes degree -1")
-    def _involution() -> tuple[bool, str]:
-        ok = compose(t, t, r).is_identity() and apply_to_degree(t, -1, r) == -1
-        return ok, "T.T = id, degree -1 -> -1"
-
-    @_claim(f"rank{r} classes are the identity and the involution")
-    def _aut_classes() -> tuple[bool, str]:
-        result = automorphism_group(alpha, -1, trivial_curve(2, ["x"]))
-        got = _classes(result)
-        want = [((0,), -1, 1, (shift,)), ((0,), 1, 0, (0,))]
-        return got == want and result.order == 2 * r ** 4, f"classes={got} order={result.order}"
-
-
-_involution_claims(3, _ALPHA3, 1, "Hecke shift", "image equals (0, 1/4, 3/4)")
-
-
-@_claim("rank3 chamber fingerprints separate the three Hecke images")
-def _rank3_separated() -> tuple[bool, str]:
-    base = normalize(_ALPHA3)
-    sh1, sh2 = hecke_weights(base, (1,)), hecke_weights(base, (2,))
-    ok = not any(
-        same_numerical_chamber(u, v, -1) for u, v in ((base, sh1), (base, sh2), (sh1, sh2))
-    )
-    return ok, "pairwise distinct at degree -1"
-
-
-_involution_claims(4, _ALPHA4, 2, "double Hecke shift", "image equals the normalized weights")
-
-
-@_command("fixtures", "run the frozen example families")
+@_command("fixtures", "run the frozen example families", layers=("_claims",))
 def _cmd_fixtures(args) -> dict:
     checks = []
     for name, check in FIXTURE_CLAIMS.items():
@@ -839,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact stability-chamber invariants and transformation groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, kind, extra, handler in _COMMANDS:
+    for name, help_text, kind, extra, layers, handler in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         if kind is not None:
             _, _, _, path_helps, json_help = _KINDS[kind]
@@ -848,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--json", action="store_true", help=json_help)
         for flags, options in extra:
             p.add_argument(*flags, **options)
-        p.set_defaults(handler=handler, kind=kind)
+        p.set_defaults(handler=handler, kind=kind, layers=layers)
     return parser
 
 
@@ -856,6 +776,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand; a payload with "all_pass" false exits 1."""
     try:
         args = build_parser().parse_args(argv)
+        _bind(args.layers)
         payload = args.handler(args)
     except InputError as exc:
         _emit({"error": {"kind": "input", "message": str(exc)}})

@@ -49,7 +49,7 @@ from parastab import (
     weight_system,
     xi_matrix,
 )
-from parastab.cli import FIXTURE_CLAIMS
+from parastab._claims import FIXTURE_CLAIMS
 from conftest import (
     crossed_walls,
     rand_concentrated_weights,

@@ -12,6 +12,10 @@ recorded again since, each for one deliberate change: ``hecke/starved``
 when the Hecke check became exact (a report at any ``--precision``, where a
 precision error was), and ``iso/point-counts`` when documents of different
 point counts became an input error like documents of different ranks.
+
+The help text of ``parastab -h`` and of every ``parastab <command> -h`` is
+pinned the same way, at 80 columns, as CPython 3.11's argparse lays it out,
+so a change to how the argument tree is built cannot change a byte of it.
 """
 
 from __future__ import annotations
@@ -144,3 +148,41 @@ def output_hash(case: str) -> str:
 @pytest.mark.parametrize("case", CASES)
 def test_command_output_is_unchanged(case):
     assert output_hash(case) == HASHES[case]
+
+
+# argv -> the sha256 of the exit code and help text, recorded before the CLI
+# loaded its layers on demand
+HELP_HASHES = {
+    "-h": "d1fde5bc24b1266a1fac4bbee3136654ed7621301938592d67b420dfd9929d23",
+    "normalize -h": "b25dbee641eff865a2136ee473f147c866c737be9a589547983e97da1d9c56f1",
+    "owt -h": "7d92319aca3c9c680da5da85f16d89e7c9db7ac8c6291f240943e886aff5ac96",
+    "invariant -h": "35a585277eb73022213e3af26eb54a4315fc5aef538f05481fda7a57707a7013",
+    "same-chamber -h": "0e6d8af4cfed59e8bd1c37e58484689224db5f22469dbb0a7039f6c9d47d5a5a",
+    "walls -h": "b86ec2d5a87251c44dd3fe61f4b58b29adee89673d91e977b0b3863767026014",
+    "generic -h": "eca50a75bef04179b2e7f387164236117fee3db650a573743713c636eaa6953c",
+    "concentrated -h": "2772f32eb607ababbc1c6fe7c1704068779ad185261c690f1cae176bdf4509d2",
+    "dims -h": "24abdf74cc1df9979ea77147dec2859080d7950687fc5754510b8c4d26cf020d",
+    "bounds -h": "916563fe852f30350d4b59faa22c62d649315c9a823cab6b6b8845b264227237",
+    "transform -h": "56eba8a5b5bffb33f49b6860a52ab8f2bc0b7f56a01a640bdb432f7e13d3c08b",
+    "compose -h": "345c0e5a705fc7e7c67313eac597cd8f8f1bfa4aa6bc8aac5293af2c9502833c",
+    "inverse -h": "d2b08d2428955a64e19cc85655a38d49a76639c71b835d0ce77a0b9869321194",
+    "aut -h": "c25087df9622725b907191dc00a0d2d76add616995e13d889eaab97ef38fa0f5",
+    "iso -h": "44d835ce29c4e3261c74545a18c6cca9ba0f618f1fb3728b9c123bf89b15e9e6",
+    "orders -h": "abfbdf0306bb193e403e0a8f65c9402fa054abfd38f9fbd5ec94015054efb800",
+    "matrix-xi -h": "563673414179f84d0c8507c146bbdaaecd527731c11a7ad711972934017251f4",
+    "matrix-rank1 -h": "211ca508ca6ce7a2d04fc988ab60b151bd5f80ab55798b126ea9e2556cd9d012",
+    "matrix-mp -h": "23777e1c2d876e13852c609adfac43c01585db4e20faa7ff66b9ab19dc52a813",
+    "matrix-hecke -h": "7cc98b7dcd116244cef2d36114c36e9a6fe20604a32b27b40bb9e18874bfec86",
+    "fixtures -h": "fe6ac14b400631e2bf24ff31a64aadc63e2bb419e83f97dad1a5818047f94f2a",
+}
+
+
+@pytest.mark.parametrize("command", HELP_HASHES)
+def test_help_text_is_unchanged(command, monkeypatch):
+    # argparse wraps at the terminal width, which it reads from COLUMNS first
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+        main(command.split())
+    text = f"{exit_info.value.code}\n{out.getvalue()}"
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_HASHES[command]

@@ -6,13 +6,17 @@ duplicate paths must not come back, in the package or in the submodule or
 class that defined them.  The parameters of the chamber and classification
 entry points are pinned too: none restates a field of a weight system or a
 curve it is also given.  So are the Hecke check's parameter and report
-fields, which carry no precision.
+fields, which carry no precision.  Importing the package loads none of its
+submodules; each public name and layer is imported on first access.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import inspect
+import json
+import subprocess
+import sys
 
 import parastab
 
@@ -43,6 +47,30 @@ def test_public_names_are_pinned_and_sorted():
 def test_every_public_name_resolves():
     missing = [name for name in parastab.__all__ if not hasattr(parastab, name)]
     assert missing == []
+
+
+LAYERS = ("cli", "autgroup", "chamber", "transform_group", "weights_core", "local_matrix")
+
+# in a fresh interpreter: the submodules loaded by the import alone, then the
+# names that do not resolve through getattr, and those missing from dir()
+FRESH_IMPORT = """
+import json, sys
+import parastab
+loaded = sorted(name for name in sys.modules if name.startswith("parastab"))
+names = [*parastab.__all__, *%r]
+unresolved = [name for name in names if getattr(parastab, name, None) is None]
+print(json.dumps([loaded, unresolved, sorted(set(names) - set(dir(parastab)))]))
+""" % (LAYERS,)
+
+
+def test_import_loads_no_submodule_and_every_name_resolves_lazily():
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_IMPORT], capture_output=True, text=True, check=True
+    )
+    loaded, unresolved, undirred = json.loads(proc.stdout)
+    assert loaded == ["parastab"]
+    assert unresolved == []
+    assert undirred == []
 
 
 # Older duplicates of the fingerprint, wall-list and Hecke-check paths, the
