@@ -17,8 +17,9 @@ exponent appears at most once in an entry.
 
 Output is a single JSON object on stdout with sorted keys, so identical
 inputs always produce identical bytes.  Exit codes: 0 success, 1 domain
-error, 2 malformed input, argument errors included.  Errors print
-{"error": {"kind", "message"}}.
+error (a result integer too long to print included), 2 malformed input
+(argument errors, over-long numbers and too-deep nesting included).  Errors
+print {"error": {"kind", "message"}}.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .errors import DomainError, InputError
 
 # The names cli calls from each module that it loads on demand.  Each command
 # names the modules it uses, and ``main`` binds their names into this module
-# before the handler runs, so a command loads no layer it does not use.
+# before it reads the command's input, so a command loads no layer it does not use.
 _LAYER_NAMES: dict[str, tuple[str, ...]] = {
     "weights_core": (
         "ParabolicType", "dim_nonreduced_stratum", "dims", "genus_bounds", "is_concentrated",
@@ -101,7 +102,13 @@ def _parse_fraction(value: Any) -> Fraction:
             return Fraction(value.strip())
         except ZeroDivisionError:
             raise InputError(f"rational has a zero denominator: {value!r}") from None
+        except ValueError:  # a part too long to convert
+            raise _too_long("numerator or denominator") from None
     raise InputError(f"expected a rational string, got {value!r}")
+
+
+def _too_long(what: str) -> InputError:
+    return InputError(f"{what} has more than {sys.get_int_max_str_digits()} digits")
 
 
 def _require(obj: dict, key: str, context: str) -> Any:
@@ -120,7 +127,6 @@ class Document:
     """Parsed weight document plus the optional curve fields."""
 
     def __init__(self, obj: Any) -> None:
-        _bind(_CORE)  # a Document also parses outside ``main``
         if not isinstance(obj, dict):
             raise InputError("document must be a JSON object")
         self.r = _parse_int(_require(obj, "r", "document"), "r")
@@ -185,7 +191,6 @@ class Document:
     def curve(self) -> CurveData:
         if self.genus is None:
             raise InputError("document needs a genus for this subcommand")
-        _bind(_CLASSES)
         try:
             if self.symmetries:
                 return CurveData(self.genus, self.labels, self.symmetries)
@@ -204,7 +209,7 @@ def _read_text(path: str) -> str:
 def _parse_json(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, a too-long integer, too deep
         raise InputError(f"invalid JSON: {exc}") from None
 
 
@@ -264,7 +269,11 @@ def _laurent_terms(value: Any) -> Iterator[tuple[int, Any]]:
         for key, coeff in value.items():
             if not _INTEGER_RE.match(key.strip()):
                 raise InputError(f"exponent keys must be integers, got {key!r}")
-            yield int(key), coeff
+            try:
+                exp = int(key)
+            except ValueError:
+                raise _too_long("exponent key") from None
+            yield exp, coeff
         return
     for item in value:
         if not isinstance(item, list) or len(item) != 2:
@@ -304,10 +313,6 @@ def _parse_matrix(obj: Any) -> LaurentMatrix:
         raise InputError(str(exc)) from None
 
 
-def _read_doc(path: str, parse: Callable[[Any], Any] = Document) -> Any:
-    return parse(_parse_json(_read_text(path)))
-
-
 # input kind: (parser, noun in messages, keys of a --json pair,
 #              help of each positional path, help of --json)
 _KINDS: dict[str, tuple] = {
@@ -333,16 +338,16 @@ _KINDS: dict[str, tuple] = {
 _PATHS = ("doc", "doc2")
 
 
-def _load(args: argparse.Namespace) -> Any:
-    """The subcommand's input, from stdin under --json or else from its paths.
-
-    A pair kind returns a tuple of two parsed documents.
-    """
+def _load(args: argparse.Namespace) -> tuple:
+    """The subcommand's inputs, from stdin under --json or else from its paths:
+    none without an input kind, else one parsed value, or two for a pair kind."""
+    if args.kind is None:
+        return ()
     parse, noun, keys, path_helps, _ = _KINDS[args.kind]
     if args.json:
         obj = _parse_json(sys.stdin.read())
         if keys is None:
-            return parse(obj)
+            return (parse(obj),)
         if not isinstance(obj, dict) or not all(key in obj for key in keys):
             raise InputError('--json input must be {"%s": ..., "%s": ...}' % keys)
         return tuple(parse(obj[key]) for key in keys)
@@ -351,8 +356,7 @@ def _load(args: argparse.Namespace) -> Any:
         if keys is None:
             raise InputError(f"provide a {noun} path or --json")
         raise InputError(f"provide two {noun} paths or --json")
-    docs = tuple(_read_doc(path, parse) for path in paths)
-    return docs[0] if keys is None else docs
+    return tuple(parse(_parse_json(_read_text(path))) for path in paths)
 
 
 def _agree(doc1: Document, doc2: Document, *fields: str) -> None:
@@ -448,7 +452,7 @@ def _ser_types(r: int, n: int) -> _Json:
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each handler returns its payload
+# subcommands; each handler takes the arguments and its inputs, and returns its payload
 
 _COMMANDS: list[tuple] = []
 
@@ -460,10 +464,10 @@ def _arg(*flags: str, **options: Any) -> tuple:
 def _command(
     name: str, help: str, kind: Optional[str] = None, *extra: tuple, layers: tuple[str, ...]
 ):
-    """Register a handler under ``name``, reading the input ``kind`` of _KINDS
-    and calling into the modules ``layers`` of _LAYER_NAMES."""
+    """Register ``handler(args, *inputs)`` under ``name``, its inputs of ``kind``
+    in _KINDS, calling into the modules ``layers`` of _LAYER_NAMES."""
 
-    def register(handler: Callable[[argparse.Namespace], dict]):
+    def register(handler: Callable[..., dict]):
         _COMMANDS.append((name, help, kind, extra, layers, handler))
         return handler
 
@@ -474,8 +478,7 @@ _STRICT = _arg("--strict", action="store_true", help="require generic weights")
 
 
 @_command("normalize", "canonical translation representative", "doc", layers=_CORE)
-def _cmd_normalize(args) -> dict:
-    doc = _load(args)
+def _cmd_normalize(args, doc: Document) -> dict:
     return _ser_weights(normalize(doc.weights), doc.degree)
 
 
@@ -484,8 +487,7 @@ def _cmd_normalize(args) -> dict:
     _arg("--pattern", required=True, help="JSON rows of 0/1 or 1-based picks"),
     layers=_CORE,
 )
-def _cmd_owt(args) -> dict:
-    doc = _load(args)
+def _cmd_owt(args, doc: Document) -> dict:
     t = _parse_pattern(_parse_json(args.pattern), doc.r, doc.weights.npoints)
     return {
         "owt": owt(doc.weights, t),
@@ -496,8 +498,7 @@ def _cmd_owt(args) -> dict:
 
 
 @_command("invariant", "chamber fingerprint over admissible patterns", "doc", layers=_WALLS)
-def _cmd_invariant(args) -> dict:
-    doc = _load(args)
+def _cmd_invariant(args, doc: Document) -> dict:
     n = doc.weights.npoints
     values = chamber_fingerprint(doc.weights, doc.degree)
     lower, upper = subdegree_bounds(doc.r, doc.degree, n)
@@ -512,8 +513,7 @@ def _cmd_invariant(args) -> dict:
 
 
 @_command("same-chamber", "compare two fingerprints", "pair", layers=_WALLS)
-def _cmd_same_chamber(args) -> dict:
-    doc1, doc2 = _load(args)
+def _cmd_same_chamber(args, doc1: Document, doc2: Document) -> dict:
     _agree(doc1, doc2, "r", "degree")
     w1, w2, d = doc1.weights, doc2.weights, doc1.degree
     try:
@@ -530,16 +530,14 @@ def _cmd_same_chamber(args) -> dict:
     _arg("--all", action="store_true", help="include degree-irrelevant walls"),
     layers=_WALLS,
 )
-def _cmd_walls(args) -> dict:
-    doc1, doc2 = _load(args)
+def _cmd_walls(args, doc1: Document, doc2: Document) -> dict:
     _agree(doc1, doc2, "r", "degree")
     count, walls = _ser_walls(doc1.weights, doc2.weights, doc1.degree, not args.all)
     return {"degree": doc1.degree, "count": count, "walls": walls}
 
 
 @_command("generic", "wall membership tests", "doc", layers=_CORE)
-def _cmd_generic(args) -> dict:
-    doc = _load(args)
+def _cmd_generic(args, doc: Document) -> dict:
     blanket = is_generic(doc.weights)
     # degree-relevant walls are walls, so off every wall there is none to find
     relative = blanket if blanket else is_degree_generic(doc.weights, doc.degree)
@@ -553,8 +551,8 @@ def _cmd_generic(args) -> dict:
 
 
 @_command("concentrated", "per-point weight spread test", "doc", layers=_CORE)
-def _cmd_concentrated(args) -> dict:
-    w = _load(args).weights
+def _cmd_concentrated(args, doc: Document) -> dict:
+    w = doc.weights
     return {
         "concentrated": is_concentrated(w),
         "bound": Fraction(4, w.npoints * w.rank * w.rank),
@@ -589,11 +587,10 @@ def _cmd_dims(args) -> dict:
     _arg("--k", type=int, default=0),
     layers=_CORE,
 )
-def _cmd_bounds(args) -> dict:
-    doc = _load(args)
+def _cmd_bounds(args, doc: Document) -> dict:
     w2 = None
     if args.doc2 is not None:
-        doc2 = _read_doc(args.doc2)
+        doc2 = Document(_parse_json(_read_text(args.doc2)))
         _agree(doc, doc2, "r")
         w2 = doc2.weights
     t = None
@@ -608,8 +605,7 @@ def _cmd_bounds(args) -> dict:
     _arg("--word", required=True, help="JSON {perm, sign, tdeg, hecke}"),
     layers=_WORDS,
 )
-def _cmd_transform(args) -> dict:
-    doc = _load(args)
+def _cmd_transform(args, doc: Document) -> dict:
     word = _parse_word(args.word, doc.r, doc)
     degree = apply_to_degree(word, doc.degree, doc.r)
     return {**_ser_weights(apply_to_weights(word, doc.weights), degree), "word": word}
@@ -639,8 +635,7 @@ def _cmd_inverse(args) -> dict:
 
 
 @_command("aut", "degree- and chamber-preserving classes", "doc", _STRICT, layers=_CLASSES)
-def _cmd_aut(args) -> dict:
-    doc = _load(args)
+def _cmd_aut(args, doc: Document) -> dict:
     result = automorphism_group(doc.weights, doc.degree, doc.curve(), strict=args.strict)
     payload = _fields(result)
     payload["degree"] = payload.pop("d")
@@ -654,8 +649,7 @@ def _cmd_aut(args) -> dict:
     _STRICT,
     layers=_CLASSES,
 )
-def _cmd_iso(args) -> dict:
-    doc1, doc2 = _load(args)
+def _cmd_iso(args, doc1: Document, doc2: Document) -> dict:
     _agree(doc1, doc2, "r")
     perms: list[tuple[int, ...]] = []
     if args.perms is not None:
@@ -697,8 +691,8 @@ def _cmd_matrix_xi(args) -> dict:
 
 
 @_command("matrix-rank1", "outer-product factorization", "matrix", layers=_MATRIX)
-def _cmd_matrix_rank1(args) -> dict:
-    factored = rank1_factor(_load(args).rows)
+def _cmd_matrix_rank1(args, m: LaurentMatrix) -> dict:
+    factored = rank1_factor(m.rows)
     col, row = factored or (None, None)
     return {"rank1": factored is not None, "col": col, "row": row}
 
@@ -708,8 +702,7 @@ def _cmd_matrix_rank1(args) -> dict:
     _arg("--check-inner", action="store_true", dest="check_inner"),
     layers=_MATRIX,
 )
-def _cmd_matrix_mp(args) -> dict:
-    a, b = _load(args)
+def _cmd_matrix_mp(args, a: LaurentMatrix, b: LaurentMatrix) -> dict:
     product = mp_closed_form(a, b)
     payload: dict = {"n": a.nrows, "mp": product}
     if args.check_inner:
@@ -726,11 +719,11 @@ def _cmd_matrix_mp(args) -> dict:
     _arg("--precision", type=int, default=24),
     layers=_MATRIX,
 )
-def _cmd_matrix_hecke(args) -> dict:
+def _cmd_matrix_hecke(args, m: LaurentMatrix) -> dict:
     if args.precision < 1:
         raise InputError(f"--precision must be at least 1, got {args.precision}")
     # the report is exact at any precision; the option is range-checked and echoed
-    return {**_fields(hecke_conjugation_check(_load(args))), "precision": args.precision}
+    return {**_fields(hecke_conjugation_check(m)), "precision": args.precision}
 
 
 @_command("fixtures", "run the frozen example families", layers=("_claims",))
@@ -777,14 +770,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _bind(args.layers)
-        payload = args.handler(args)
+        payload = args.handler(args, *_load(args))
+        _emit(payload)
     except InputError as exc:
         _emit({"error": {"kind": "input", "message": str(exc)}})
         return 2
     except DomainError as exc:
         _emit({"error": {"kind": "domain", "message": str(exc)}})
         return 1
-    _emit(payload)
     return 0 if payload.get("all_pass", True) else 1
 
 
@@ -797,10 +790,14 @@ _ENCODER = json.JSONEncoder(
 def _emit(payload: dict) -> None:
     """One line: the keys sorted, ``_Json`` values verbatim, every other value encoded."""
     encode = _ENCODER.encode
-    items = ",".join(
-        encode(key) + ":" + (value if isinstance(value, _Json) else encode(value))
-        for key, value in sorted(payload.items())
-    )
+    try:
+        items = ",".join(
+            encode(key) + ":" + (value if isinstance(value, _Json) else encode(value))
+            for key, value in sorted(payload.items())
+        )
+    except ValueError:  # an integer beyond the int-string limit
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"result has an integer of more than {limit} digits") from None
     sys.stdout.write("{" + items + "}\n")
 
 

@@ -3,7 +3,9 @@
 Whatever JSON arrives on stdin and whatever arguments are given, ``main()``
 writes exactly one JSON line to stdout, nothing to stderr, and returns 0, 1
 or 2; no exception escapes it.  Argument errors (a bad integer, an unknown
-flag, a missing or unknown subcommand) are input errors like any other.
+flag, a missing or unknown subcommand), numbers beyond the interpreter's
+int-string limit and too-deep nesting are input errors like any other; a
+result too long to print is a domain error.
 """
 
 from __future__ import annotations
@@ -14,18 +16,32 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parastab.cli import build_parser, main
+
+LIMIT = sys.get_int_max_str_digits()
+LONG = "7" * (LIMIT + 1)  # digits beyond the int-string limit
+LONG_INT = "<long integer>"  # written into the JSON text as LONG, unquoted
+
+
+def dumps(value) -> str:
+    """``json.dumps``, with each LONG_INT string as an over-long JSON integer."""
+    return json.dumps(value).replace(json.dumps(LONG_INT), LONG)
+
 
 SCALARS = (
     st.none()
     | st.booleans()
     | st.integers(-3, 3)
     | st.sampled_from(["0", "1", "-2", "1/2", "3/0", "x", "", "1e3", " 4"])
+    | st.sampled_from([LONG_INT, LONG, f"1/{LONG}"])
 )
-EXPONENTS = st.sampled_from(["0", "1", "-1", "2", "-3", "x", "1.5", "", "01", "1_0", " 1"])
+EXPONENTS = st.sampled_from(
+    ["0", "1", "-1", "2", "-3", "x", "1.5", "", "01", "1_0", " 1", LONG, f"-{LONG}"]
+)
 # matrix entries as the parser reads them, and anything else JSON can hold
 ENTRIES = (
     SCALARS
@@ -77,7 +93,7 @@ def test_matrix_commands_keep_the_contract(command, doc, precision):
     argv = [*command, "--json"]
     if command == ["matrix-hecke"]:
         argv += ["--precision", str(precision)]
-    code, out, err = run_main(argv, json.dumps(doc))
+    code, out, err = run_main(argv, dumps(doc))
     assert code in (0, 1, 2)
     assert err == ""
     assert out.endswith("\n") and out.count("\n") == 1
@@ -143,23 +159,23 @@ def pattern(draw, r: int, n: int) -> str:
     incidence = st.lists(st.integers(0, 1), min_size=r, max_size=r)
     picks = st.lists(st.integers(0, r + 1), max_size=r)
     rows = st.lists(incidence | picks, min_size=n, max_size=n)
-    return json.dumps(rarely(draw, rows, JUNK))
+    return dumps(rarely(draw, rows, JUNK))
 
 
 def word(draw, r: int, n: int) -> str:
     good = st.fixed_dictionaries(
         {"perm": st.permutations(range(n)), "sign": st.sampled_from([1, -1])},
         optional={
-            "tdeg": st.integers(-3, 3),
+            "tdeg": st.sampled_from([*range(-3, 4), LONG_INT]),
             "hecke": st.lists(st.integers(-1, r + 1), min_size=n, max_size=n),
         },
     )
-    return json.dumps(rarely(draw, good, JUNK))
+    return dumps(rarely(draw, good, JUNK))
 
 
 def perms(draw, n: int) -> str:
     good = st.lists(st.permutations(LABELS[:n]) | st.permutations(range(n)), max_size=2)
-    return json.dumps(rarely(draw, good, JUNK))
+    return dumps(rarely(draw, good, JUNK))
 
 
 DOC_COMMANDS = [
@@ -219,7 +235,7 @@ def invocations(draw):
         doc = draw(DOCUMENTS)
     if command not in PLAIN_COMMANDS:
         argv.append("--json")
-        stdin = json.dumps(doc)
+        stdin = dumps(doc)
     argv += flags(draw, command, r, n)
     fault = draw(st.integers(0, 29))
     if fault == 29:
@@ -253,3 +269,43 @@ def test_every_subcommand_keeps_the_contract(invocation):
     assert ("error" in payload) == (code != 0)
     # every value, pre-encoded text included, is in canonical form
     assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["normalize", "--json"], '{"r": 2, "degree": %s, "points": []}' % LONG),
+        (["normalize", "--json"], dumps(
+            {"r": 2, "degree": 0, "points": [{"label": "x", "weights": ["0", f"1/{LONG}"]}]}
+        )),
+        (["matrix-hecke", "--json"], dumps([[{LONG: "1"}]])),
+        (["compose", "--rank", "1", '{"perm": [0], "sign": 1, "tdeg": %s}' % LONG, "{}"], ""),
+        (["normalize", "--json"], "[" * 2000 + "]" * 2000),
+        (["matrix-rank1", "--json"], '{"entries": %s}' % ("[" * 5000 + "]" * 5000)),
+    ],
+    ids=["long-degree", "long-denominator", "long-exponent", "long-tdeg", "deep", "deeper"],
+)
+def test_over_long_numbers_and_deep_nesting_are_input_errors(argv, stdin):
+    """Text, since ``json.dumps`` can neither write these numbers nor nest this deep."""
+    code, out, err = run_main(argv, stdin)
+    assert (code, err) == (2, "")
+    assert json.loads(out)["error"]["kind"] == "input"
+
+
+ONE_POINT = {"r": 3, "degree": 0, "points": [{"label": "x", "weights": ["0", "1/5", "2/5"]}]}
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["orders", "--genus", "3000", "--rank", "9", "--points", "1"], ""),
+        (["dims", "--genus", "9" * (LIMIT - 1), "--points", "1", "--rank", "9"], ""),
+        (["aut", "--json"], json.dumps({**ONE_POINT, "genus": 5000})),
+    ],
+    ids=["orders", "dims", "aut"],
+)
+def test_a_result_beyond_the_int_string_limit_is_one_domain_error(argv, stdin):
+    code, out, err = run_main(argv, stdin)
+    assert (code, err) == (1, "")
+    message = f"result has an integer of more than {LIMIT} digits"
+    assert json.loads(out) == {"error": {"kind": "domain", "message": message}}

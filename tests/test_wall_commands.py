@@ -18,6 +18,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -27,8 +28,9 @@ from parastab import (
     chamber_fingerprint,
     count_admissible,
     subdegree_bounds,
+    weight_system,
 )
-from parastab.cli import Document, main
+from parastab.cli import main
 from oracles import admissible_types
 
 
@@ -36,6 +38,12 @@ def doc(r: int, d: int, rows: list[str]) -> dict:
     """A weight document; each row lists one point's weights, space-separated."""
     points = [{"label": f"p{i}", "weights": row.split()} for i, row in enumerate(rows)]
     return {"r": r, "degree": d, "points": points}
+
+
+def weights(document: dict):
+    """The weight system of a document, built with the library."""
+    rows = [[Fraction(v) for v in point["weights"]] for point in document["points"]]
+    return weight_system(rows, rank=document["r"])
 
 
 R2_MIXED = ["1/10 7/10", "1/5 3/5"]  # on walls m = 1 and m = -1, irrelevant for even d
@@ -229,7 +237,7 @@ def test_generic_off_every_wall_has_no_degree_witness():
 def test_same_chamber_on_a_relevant_wall_compares_fingerprints(case):
     """An endpoint on a relevant wall: ``walls`` is null and ``same`` is fingerprint equality."""
     first, second = CASES[case]
-    w1, w2 = Document(first).weights, Document(second).weights
+    w1, w2 = weights(first), weights(second)
     d = first["degree"]
     same = chamber_fingerprint(w1, d) == chamber_fingerprint(w2, d)
     assert payload(case, "same-chamber") == (0, {"degree": d, "same": same, "walls": None})
@@ -257,7 +265,7 @@ def test_invariant_rows_are_the_admissible_types(r, n):
     lower, upper = subdegree_bounds(r, 0, n)
     expected = {
         "r": r, "n": n, "degree": 0, "types": rows,
-        "values": chamber_fingerprint(Document(w).weights, 0),
+        "values": chamber_fingerprint(weights(w), 0),
         "bounds": {"lower_open": str(lower), "upper": str(upper)},
     }
     assert out == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
