@@ -8,13 +8,13 @@ twists of size r^(2g), so group orders come out as exact integers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 from itertools import chain, combinations, product, starmap
 from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 from .chamber import fingerprint_floors
-from .errors import DomainError
+from .errors import DomainError, Record
 from .transform_group import NumTransform, act_on_row
 from .weights_core import (
     GenericityResult,
@@ -33,8 +33,7 @@ from .weights_core import (
 LIFT_FAITHFUL_MIN_GENUS = 4
 
 
-@dataclass(frozen=True)
-class CurveData:
+class CurveData(Record):
     """Marked-curve context: genus, point labels, and symmetry classes.
 
     ``symmetries`` lists (perm, multiplicity) pairs; perm[i] is the image
@@ -192,8 +191,7 @@ def candidate_transforms(r: int, d: int, curve: CurveData) -> tuple[NumTransform
     return tuple(starmap(NumTransform, _degree_pinned(r, curve.npoints, perms, d, d)))
 
 
-@dataclass(frozen=True)
-class AutResult:
+class AutResult(Record):
     """Surviving classes and the exact order of the lifted group."""
 
     r: int
@@ -234,7 +232,7 @@ def automorphism_group(
         )
     perms = [perm for perm, _ in curve.symmetries]
     survivors = _chamber_preserving(_degree_pinned(r, n, perms, d, d), w, d, w)
-    torsion = r ** (2 * g)
+    torsion = _power(r, 2 * g)
     order = torsion * sum(curve.multiplicity(c.perm) for c in survivors)
     chamber_genus = genus_bounds(normalize(w)).chamber
     return AutResult(
@@ -286,11 +284,19 @@ def iso_transforms(
     return _chamber_preserving(_degree_pinned(r, n, perms, d1, d2), w1, d2, w2)
 
 
-@dataclass(frozen=True)
-class OrdersResult:
+class OrdersResult(Record):
     aut: int
     threebir: int
     ratio: int
+
+
+def _power(base: int, exp: int) -> int:
+    """``base ** exp``, refused first when its digits certainly pass the int-string limit."""
+    limit = sys.get_int_max_str_digits()
+    # base ** exp >= 2 ** (exp * (bit_length - 1)), and log10(2) > 3/10
+    if limit and 3 * exp * (base.bit_length() - 1) // 10 >= limit:
+        raise DomainError(f"result has an integer of more than {limit} digits")
+    return base ** exp
 
 
 def concentrated_orders(g: int, r: int, n_points: int, aut_order: int) -> OrdersResult:
@@ -304,9 +310,6 @@ def concentrated_orders(g: int, r: int, n_points: int, aut_order: int) -> Orders
     """
     if g < 0 or r < 2 or n_points < 1 or aut_order < 1:
         raise DomainError("requires g >= 0, r >= 2, n_points >= 1, aut_order >= 1")
-    aut = r ** (2 * g) * aut_order
-    if r == 2:
-        ratio = 2 ** (n_points - 1)
-    else:
-        ratio = 2 * r ** (n_points - 1)
+    aut = _power(r, 2 * g) * aut_order
+    ratio = _power(r, n_points - 1) * (2 if r > 2 else 1)
     return OrdersResult(aut=aut, threebir=aut * ratio, ratio=ratio)

@@ -394,16 +394,11 @@ def _ser_weights(w: WeightSystem, degree: int) -> dict:
     return {"r": w.rank, "points": w.points, "weights": w.weights, "degree": degree}
 
 
-def _fields(result: Any) -> dict:
-    """A dataclass result's fields, shallowly: nested values go through ``_to_json``."""
-    return dict(vars(result))
-
-
 def _ser_witness(witness: Any) -> Optional[dict]:
     """A GenericityWitness, its pattern given as per-point "picks"."""
     if witness is None:
         return None
-    out = _fields(witness)
+    out = dict(vars(witness))
     out["picks"] = out.pop("pattern")
     return out
 
@@ -569,7 +564,7 @@ def _cmd_concentrated(args, doc: Document) -> dict:
     layers=_CORE,
 )
 def _cmd_dims(args) -> dict:
-    payload = _fields(dims(args.genus, args.points, args.rank))
+    payload = dict(vars(dims(args.genus, args.points, args.rank)))
     payload["stratum"] = None
     if args.stratum is not None:
         payload["stratum"] = dim_nonreduced_stratum(
@@ -597,7 +592,7 @@ def _cmd_bounds(args, doc: Document) -> dict:
     if args.pattern is not None:
         t = _parse_pattern(_parse_json(args.pattern), doc.r, doc.weights.npoints)
     result = genus_bounds(doc.weights, w2=w2, t=t, l=args.l, m=args.m, k=args.k)
-    return _fields(result)
+    return dict(vars(result))
 
 
 @_command(
@@ -637,7 +632,7 @@ def _cmd_inverse(args) -> dict:
 @_command("aut", "degree- and chamber-preserving classes", "doc", _STRICT, layers=_CLASSES)
 def _cmd_aut(args, doc: Document) -> dict:
     result = automorphism_group(doc.weights, doc.degree, doc.curve(), strict=args.strict)
-    payload = _fields(result)
+    payload = dict(vars(result))
     payload["degree"] = payload.pop("d")
     payload["genus_sufficient"] = result.genus_sufficient
     return payload
@@ -679,7 +674,7 @@ def _cmd_iso(args, doc1: Document, doc2: Document) -> dict:
     layers=_CLASSES,
 )
 def _cmd_orders(args) -> dict:
-    return _fields(concentrated_orders(args.genus, args.rank, args.points, args.aut_order))
+    return dict(vars(concentrated_orders(args.genus, args.rank, args.points, args.aut_order)))
 
 
 @_command(
@@ -723,7 +718,7 @@ def _cmd_matrix_hecke(args, m: LaurentMatrix) -> dict:
     if args.precision < 1:
         raise InputError(f"--precision must be at least 1, got {args.precision}")
     # the report is exact at any precision; the option is range-checked and echoed
-    return {**_fields(hecke_conjugation_check(m)), "precision": args.precision}
+    return {**vars(hecke_conjugation_check(m)), "precision": args.precision}
 
 
 @_command("fixtures", "run the frozen example families", layers=("_claims",))

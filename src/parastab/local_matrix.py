@@ -10,7 +10,6 @@ Hecke check reports every offending entry with its exact valuation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -18,7 +17,7 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from .errors import DomainError
+from .errors import DomainError, Record
 
 Rational = Union[int, Fraction]
 
@@ -173,8 +172,7 @@ def laurent_gcd(values: Sequence[Laurent]) -> Laurent:
     return acc.shift(vmin)
 
 
-@dataclass(frozen=True)
-class LaurentMatrix:
+class LaurentMatrix(Record):
     """Immutable matrix with exact Laurent entries."""
 
     rows: tuple[tuple[Laurent, ...], ...]
@@ -621,8 +619,7 @@ def is_parabolic(m: LaurentMatrix) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HeckeReport:
+class HeckeReport(Record):
     """Outcome of conjugating the parabolic stalk algebra by a matrix."""
 
     n: int

@@ -12,16 +12,14 @@ twist degree (full shift at one point equals a twist by -1 there).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, Record
 from .weights_core import WeightSystem, level_denominator, numerator_rows
 
 
-@dataclass(frozen=True)
-class NumTransform:
+class NumTransform(Record):
     """Canonical word: perm[i] is the image position of point i."""
 
     perm: tuple[int, ...]

@@ -8,14 +8,13 @@ which weight steps a subobject inherits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product, tee
 from math import lcm
 from operator import indexOf
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import DomainError
+from .errors import DomainError, Record
 
 Rational = Union[int, Fraction]
 
@@ -28,8 +27,7 @@ def _frac(value: Rational) -> Fraction:
     raise DomainError(f"expected a rational, got {value!r}")
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(Record):
     """Full-flag weights: one strictly increasing r-tuple in [0, 1) per point."""
 
     rank: int
@@ -77,8 +75,7 @@ def weight_system(
     return WeightSystem(rank=r, points=labels, weights=tups)
 
 
-@dataclass(frozen=True)
-class ParabolicType:
+class ParabolicType(Record):
     """0/1 incidence rows, one per point, all with the same row sum.
 
     Row sums 0 and r are allowed so the full and empty patterns can be fed
@@ -187,8 +184,7 @@ def t_number(t1: ParabolicType, t2: ParabolicType) -> Fraction:
     return Fraction(pairs, t1.subrank * t2.subrank)
 
 
-@dataclass(frozen=True)
-class DimsResult:
+class DimsResult(Record):
     """Moduli dimension summary for one (g, n, r)."""
 
     fixed_det: int
@@ -227,8 +223,7 @@ def dim_nonreduced_stratum(g: int, n: int, r: int, d: int) -> int:
     return head + tail
 
 
-@dataclass(frozen=True)
-class GenericityWitness:
+class GenericityWitness(Record):
     """A wall hit: subrank, 1-based index picks per point, and the integer level."""
 
     subrank: int
@@ -236,8 +231,7 @@ class GenericityWitness:
     m: int
 
 
-@dataclass(frozen=True)
-class GenericityResult:
+class GenericityResult(Record):
     generic: bool
     witness: Optional[GenericityWitness]
 
@@ -350,8 +344,7 @@ def is_concentrated(w: WeightSystem) -> bool:
     return all(tup[-1] - tup[0] < bound for tup in w.weights)
 
 
-@dataclass(frozen=True)
-class GenusBounds:
+class GenusBounds(Record):
     """Genus thresholds above which the numerical statements become geometric."""
 
     chamber: int

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parastab.autgroup import concentrated_orders
 from parastab.cli import build_parser, main
 
 LIMIT = sys.get_int_max_str_digits()
@@ -293,6 +295,27 @@ def test_over_long_numbers_and_deep_nesting_are_input_errors(argv, stdin):
 
 
 ONE_POINT = {"r": 3, "degree": 0, "points": [{"label": "x", "weights": ["0", "1/5", "2/5"]}]}
+TWO_POINTS = {
+    "r": 2,
+    "degree": 1,
+    "points": [
+        {"label": "x", "weights": ["1/7", "5/7"]},
+        {"label": "y", "weights": ["2/9", "8/9"]},
+    ],
+}
+NINES = "9" * LIMIT  # the longest integer an argument or document may hold
+
+
+def run_child(argv: list[str], stdin: str) -> tuple[int, str, str]:
+    """``main`` in a fresh interpreter, which must finish within a few seconds."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "parastab.cli", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -301,11 +324,36 @@ ONE_POINT = {"r": 3, "degree": 0, "points": [{"label": "x", "weights": ["0", "1/
         (["orders", "--genus", "3000", "--rank", "9", "--points", "1"], ""),
         (["dims", "--genus", "9" * (LIMIT - 1), "--points", "1", "--rank", "9"], ""),
         (["aut", "--json"], json.dumps({**ONE_POINT, "genus": 5000})),
+        # each power below has more digits than memory holds: refused before it is taken
+        (["orders", "--genus", NINES, "--rank", "3", "--points", "2"], ""),
+        (["orders", "--genus", "1", "--rank", "3", "--points", NINES], ""),
+        (["orders", "--genus", "1", "--rank", "2", "--points", NINES], ""),
+        (["aut", "--json"], json.dumps({**TWO_POINTS, "genus": int(NINES)})),
     ],
-    ids=["orders", "dims", "aut"],
+    ids=["orders", "dims", "aut", "orders-genus", "orders-points", "orders-rank2-points",
+         "aut-genus"],
 )
 def test_a_result_beyond_the_int_string_limit_is_one_domain_error(argv, stdin):
-    code, out, err = run_main(argv, stdin)
+    code, out, err = run_child(argv, stdin)
     assert (code, err) == (1, "")
     message = f"result has an integer of more than {LIMIT} digits"
     assert json.loads(out) == {"error": {"kind": "domain", "message": message}}
+
+
+def test_a_result_just_within_the_int_string_limit_still_prints():
+    # 10 ** 4298 and twice it: 4299 digits each
+    argv = ["orders", "--genus", str((LIMIT - 2) // 2), "--rank", "10", "--points", "1"]
+    code, out, err = run_child(argv, "")
+    assert (code, err) == (0, "")
+    aut = 10 ** (2 * ((LIMIT - 2) // 2))
+    assert json.loads(out) == {"aut": aut, "ratio": 2, "threebir": 2 * aut}
+
+
+def test_no_power_is_refused_without_an_int_string_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        orders = concentrated_orders(5000, 3, 1, 1)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert orders.aut == 3 ** 10000 and orders.ratio == 2

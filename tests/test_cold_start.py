@@ -3,9 +3,11 @@
 Each command runs on a small valid input in its own interpreter, as the
 command line runs it, and must keep the JSON contract: one JSON object line
 on stdout, nothing on stderr, exit code 0.  The ``parastab`` modules it
-loaded are pinned: a command loads only the layers it calls into.  An
-in-process run cannot see this, since an earlier command may already have
-loaded a layer that a later one forgot to name.
+loaded are pinned: a command loads only the layers it calls into.  None
+loads ``dataclasses`` or ``inspect``, which would cost several milliseconds
+per launch; the records stand on ``parastab.errors.Record``.  An in-process
+run cannot see this, since an earlier command may already have loaded a
+layer that a later one forgot to name.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ import pytest
 from parastab.cli import _COMMANDS
 
 # run main on the arguments, then print the parastab modules loaded on a second line
+# and the heavy standard modules loaded on a third
 CHILD = """
 import json, sys
 from parastab.cli import main
 code = main(sys.argv[1:])
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("parastab"))))
+print(json.dumps(sorted({"dataclasses", "inspect"} & set(sys.modules))))
 sys.exit(code)
 """
 
@@ -87,7 +91,8 @@ def test_command_loads_only_its_layers(command):
     )
     assert proc.stderr == ""
     assert proc.returncode == 0, proc.stdout
-    output, loaded = proc.stdout.splitlines()
+    output, loaded, heavy = proc.stdout.splitlines()
     payload = json.loads(output)
     assert isinstance(payload, dict) and "error" not in payload
     assert json.loads(loaded) == sorted(modules)
+    assert json.loads(heavy) == []

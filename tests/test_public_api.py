@@ -12,7 +12,6 @@ submodules; each public name and layer is imported on first access.
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import json
 import subprocess
@@ -130,5 +129,5 @@ def test_entry_point_parameters_are_pinned():
 
 
 def test_hecke_report_declares_no_precision():
-    fields = [field.name for field in dataclasses.fields(parastab.HeckeReport)]
+    fields = list(parastab.HeckeReport._fields)
     assert fields == ["n", "parabolic_input", "det_valuation", "k", "integral", "offenders"]
