@@ -30,13 +30,12 @@ import sys
 from fractions import Fraction
 from itertools import chain, combinations, product
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .errors import DomainError, InputError
 
-# The names cli calls from each module that it loads on demand.  Each command
-# names the modules it uses, and ``main`` binds their names into this module
-# before it reads the command's input, so a command loads no layer it does not use.
+# The names cli calls from each module that it loads on demand; each starts as a
+# ``_Deferred``, so a command loads just the layers its executed code reaches.
 _LAYER_NAMES: dict[str, tuple[str, ...]] = {
     "weights_core": (
         "ParabolicType", "dim_nonreduced_stratum", "dims", "genus_bounds", "is_concentrated",
@@ -60,27 +59,38 @@ _LAYER_NAMES: dict[str, tuple[str, ...]] = {
     ),
     "_claims": ("FIXTURE_CLAIMS",),
 }
-_BOUND: set[str] = set()
 
 
-def _bind(layers: Iterable[str]) -> None:
-    """Import each layer once and bind the names cli uses from it, at module level."""
-    for layer in layers:
-        if layer not in _BOUND:
-            path = f"{__package__}.{layer}"
-            __import__(path)  # unlike importlib.import_module, seen by -X importtime
-            module = sys.modules[path]
-            for name in _LAYER_NAMES[layer]:
-                globals()[name] = getattr(module, name)
-            _BOUND.add(layer)
+class _Deferred:
+    """A stand-in for a name of ``layer``.  Its first call or attribute read
+    imports the layer and rebinds all of the layer's ``_LAYER_NAMES`` in cli's
+    globals, so every later use reaches the library object directly.  It is
+    not the class it names: no code in cli may call ``isinstance`` against a
+    deferred name, which is why ``_JSON_FORMS`` is keyed by class name."""
+
+    __slots__ = ("layer", "name")
+
+    def __init__(self, layer: str, name: str) -> None:
+        self.layer, self.name = layer, name
+
+    def resolve(self) -> Any:
+        path = f"{__package__}.{self.layer}"
+        __import__(path)  # unlike importlib.import_module, seen by -X importtime
+        module = sys.modules[path]
+        for name in _LAYER_NAMES[self.layer]:
+            globals()[name] = getattr(module, name)
+        return getattr(module, self.name)
+
+    def __call__(self, *args: Any, **kwargs: Any) -> Any:
+        return self.resolve()(*args, **kwargs)
+
+    def __getattr__(self, attr: str) -> Any:
+        return getattr(self.resolve(), attr)
 
 
-# the layers of each family of commands
-_CORE = ("weights_core",)
-_WALLS = (*_CORE, "chamber")
-_WORDS = (*_CORE, "transform_group")
-_CLASSES = (*_CORE, "autgroup")
-_MATRIX = ("local_matrix",)
+globals().update(
+    (name, _Deferred(layer, name)) for layer, names in _LAYER_NAMES.items() for name in names
+)
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _INTEGER_RE = re.compile(r"^[+-]?\d+$")
@@ -456,14 +466,11 @@ def _arg(*flags: str, **options: Any) -> tuple:
     return flags, options
 
 
-def _command(
-    name: str, help: str, kind: Optional[str] = None, *extra: tuple, layers: tuple[str, ...]
-):
-    """Register ``handler(args, *inputs)`` under ``name``, its inputs of ``kind``
-    in _KINDS, calling into the modules ``layers`` of _LAYER_NAMES."""
+def _command(name: str, help: str, kind: Optional[str] = None, *extra: tuple):
+    """Register ``handler(args, *inputs)`` under ``name``, its inputs of ``kind`` in _KINDS."""
 
     def register(handler: Callable[..., dict]):
-        _COMMANDS.append((name, help, kind, extra, layers, handler))
+        _COMMANDS.append((name, help, kind, extra, handler))
         return handler
 
     return register
@@ -472,7 +479,7 @@ def _command(
 _STRICT = _arg("--strict", action="store_true", help="require generic weights")
 
 
-@_command("normalize", "canonical translation representative", "doc", layers=_CORE)
+@_command("normalize", "canonical translation representative", "doc")
 def _cmd_normalize(args, doc: Document) -> dict:
     return _ser_weights(normalize(doc.weights), doc.degree)
 
@@ -480,7 +487,6 @@ def _cmd_normalize(args, doc: Document) -> dict:
 @_command(
     "owt", "selected-weight sum, pdeg and twisting slack", "doc",
     _arg("--pattern", required=True, help="JSON rows of 0/1 or 1-based picks"),
-    layers=_CORE,
 )
 def _cmd_owt(args, doc: Document) -> dict:
     t = _parse_pattern(_parse_json(args.pattern), doc.r, doc.weights.npoints)
@@ -492,7 +498,7 @@ def _cmd_owt(args, doc: Document) -> dict:
     }
 
 
-@_command("invariant", "chamber fingerprint over admissible patterns", "doc", layers=_WALLS)
+@_command("invariant", "chamber fingerprint over admissible patterns", "doc")
 def _cmd_invariant(args, doc: Document) -> dict:
     n = doc.weights.npoints
     values = chamber_fingerprint(doc.weights, doc.degree)
@@ -507,7 +513,7 @@ def _cmd_invariant(args, doc: Document) -> dict:
     }
 
 
-@_command("same-chamber", "compare two fingerprints", "pair", layers=_WALLS)
+@_command("same-chamber", "compare two fingerprints", "pair")
 def _cmd_same_chamber(args, doc1: Document, doc2: Document) -> dict:
     _agree(doc1, doc2, "r", "degree")
     w1, w2, d = doc1.weights, doc2.weights, doc1.degree
@@ -523,7 +529,6 @@ def _cmd_same_chamber(args, doc1: Document, doc2: Document) -> dict:
 @_command(
     "walls", "integer wall levels crossed between two systems", "pair",
     _arg("--all", action="store_true", help="include degree-irrelevant walls"),
-    layers=_WALLS,
 )
 def _cmd_walls(args, doc1: Document, doc2: Document) -> dict:
     _agree(doc1, doc2, "r", "degree")
@@ -531,7 +536,7 @@ def _cmd_walls(args, doc1: Document, doc2: Document) -> dict:
     return {"degree": doc1.degree, "count": count, "walls": walls}
 
 
-@_command("generic", "wall membership tests", "doc", layers=_CORE)
+@_command("generic", "wall membership tests", "doc")
 def _cmd_generic(args, doc: Document) -> dict:
     blanket = is_generic(doc.weights)
     # degree-relevant walls are walls, so off every wall there is none to find
@@ -545,7 +550,7 @@ def _cmd_generic(args, doc: Document) -> dict:
     }
 
 
-@_command("concentrated", "per-point weight spread test", "doc", layers=_CORE)
+@_command("concentrated", "per-point weight spread test", "doc")
 def _cmd_concentrated(args, doc: Document) -> dict:
     w = doc.weights
     return {
@@ -561,7 +566,6 @@ def _cmd_concentrated(args, doc: Document) -> dict:
     _arg("--points", type=int, required=True),
     _arg("--rank", type=int, required=True),
     _arg("--stratum", type=int, default=None),
-    layers=_CORE,
 )
 def _cmd_dims(args) -> dict:
     payload = dict(vars(dims(args.genus, args.points, args.rank)))
@@ -580,7 +584,6 @@ def _cmd_dims(args) -> dict:
     _arg("--l", type=int, default=1),
     _arg("--m", type=int, default=0),
     _arg("--k", type=int, default=0),
-    layers=_CORE,
 )
 def _cmd_bounds(args, doc: Document) -> dict:
     w2 = None
@@ -598,7 +601,6 @@ def _cmd_bounds(args, doc: Document) -> dict:
 @_command(
     "transform", "apply a transformation word", "doc",
     _arg("--word", required=True, help="JSON {perm, sign, tdeg, hecke}"),
-    layers=_WORDS,
 )
 def _cmd_transform(args, doc: Document) -> dict:
     word = _parse_word(args.word, doc.r, doc)
@@ -611,7 +613,6 @@ def _cmd_transform(args, doc: Document) -> dict:
     _arg("--rank", type=int, required=True),
     _arg("word1", help="JSON transform (acts second)"),
     _arg("word2", help="JSON transform (acts first)"),
-    layers=_WORDS,
 )
 def _cmd_compose(args) -> dict:
     t1 = _parse_word(args.word1, args.rank)
@@ -623,13 +624,12 @@ def _cmd_compose(args) -> dict:
     "inverse", "inverse word in normal form", None,
     _arg("--rank", type=int, required=True),
     _arg("word", help="JSON transform"),
-    layers=_WORDS,
 )
 def _cmd_inverse(args) -> dict:
     return {"word": inverse(_parse_word(args.word, args.rank), args.rank)}
 
 
-@_command("aut", "degree- and chamber-preserving classes", "doc", _STRICT, layers=_CLASSES)
+@_command("aut", "degree- and chamber-preserving classes", "doc", _STRICT)
 def _cmd_aut(args, doc: Document) -> dict:
     result = automorphism_group(doc.weights, doc.degree, doc.curve(), strict=args.strict)
     payload = dict(vars(result))
@@ -642,7 +642,6 @@ def _cmd_aut(args, doc: Document) -> dict:
     "iso", "classes carrying one space onto another", "pair",
     _arg("--perms", default=None, help="JSON list of extra point relabelings"),
     _STRICT,
-    layers=_CLASSES,
 )
 def _cmd_iso(args, doc1: Document, doc2: Document) -> dict:
     _agree(doc1, doc2, "r")
@@ -671,21 +670,17 @@ def _cmd_iso(args, doc1: Document, doc2: Document) -> dict:
     _arg("--rank", type=int, required=True),
     _arg("--points", type=int, required=True),
     _arg("--aut-order", type=int, default=1, dest="aut_order"),
-    layers=_CLASSES,
 )
 def _cmd_orders(args) -> dict:
     return dict(vars(concentrated_orders(args.genus, args.rank, args.points, args.aut_order)))
 
 
-@_command(
-    "matrix-xi", "the exponent pattern matrix", None, _arg("--n", type=int, required=True),
-    layers=_MATRIX,
-)
+@_command("matrix-xi", "the exponent pattern matrix", None, _arg("--n", type=int, required=True))
 def _cmd_matrix_xi(args) -> dict:
     return {"n": args.n, "xi": xi_matrix(args.n)}
 
 
-@_command("matrix-rank1", "outer-product factorization", "matrix", layers=_MATRIX)
+@_command("matrix-rank1", "outer-product factorization", "matrix")
 def _cmd_matrix_rank1(args, m: LaurentMatrix) -> dict:
     factored = rank1_factor(m.rows)
     col, row = factored or (None, None)
@@ -695,7 +690,6 @@ def _cmd_matrix_rank1(args, m: LaurentMatrix) -> dict:
 @_command(
     "matrix-mp", "twisted conjugation matrix of a pair", "matrices",
     _arg("--check-inner", action="store_true", dest="check_inner"),
-    layers=_MATRIX,
 )
 def _cmd_matrix_mp(args, a: LaurentMatrix, b: LaurentMatrix) -> dict:
     product = mp_closed_form(a, b)
@@ -712,7 +706,6 @@ def _cmd_matrix_mp(args, a: LaurentMatrix, b: LaurentMatrix) -> dict:
 @_command(
     "matrix-hecke", "does conjugation preserve the stalk algebra", "matrix",
     _arg("--precision", type=int, default=24),
-    layers=_MATRIX,
 )
 def _cmd_matrix_hecke(args, m: LaurentMatrix) -> dict:
     if args.precision < 1:
@@ -721,7 +714,7 @@ def _cmd_matrix_hecke(args, m: LaurentMatrix) -> dict:
     return {**vars(hecke_conjugation_check(m)), "precision": args.precision}
 
 
-@_command("fixtures", "run the frozen example families", layers=("_claims",))
+@_command("fixtures", "run the frozen example families")
 def _cmd_fixtures(args) -> dict:
     checks = []
     for name, check in FIXTURE_CLAIMS.items():
@@ -747,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact stability-chamber invariants and transformation groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, kind, extra, layers, handler in _COMMANDS:
+    for name, help_text, kind, extra, handler in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         if kind is not None:
             _, _, _, path_helps, json_help = _KINDS[kind]
@@ -756,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--json", action="store_true", help=json_help)
         for flags, options in extra:
             p.add_argument(*flags, **options)
-        p.set_defaults(handler=handler, kind=kind, layers=layers)
+        p.set_defaults(handler=handler, kind=kind)
     return parser
 
 
@@ -764,7 +757,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand; a payload with "all_pass" false exits 1."""
     try:
         args = build_parser().parse_args(argv)
-        _bind(args.layers)
         payload = args.handler(args, *_load(args))
         _emit(payload)
     except InputError as exc:

@@ -163,10 +163,8 @@ def laurent_gcd(values: Sequence[Laurent]) -> Laurent:
     vmin = min(v.valuation() for v in nonzero)
     acc = L_ZERO
     for v in nonzero:
-        shifted = v.shift(-v.valuation())
-        acc = _poly_gcd(acc, shifted) if not acc.is_zero() else shifted.scale(
-            1 / shifted.coeff(shifted.degree())
-        )
+        # the gcd with zero is the entry made monic
+        acc = _poly_gcd(acc, v.shift(-v.valuation()))
         if acc == L_ONE:
             break
     return acc.shift(vmin)
@@ -587,24 +585,25 @@ def mp_closed_form(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     )
 
 
-def h_matrix(n: int) -> LaurentMatrix:
-    """The cyclic shift with a z in the corner; its n-th power is z times the identity."""
+def _shift_matrix(n: int, corner: Laurent) -> LaurentMatrix:
+    """The cyclic shift (ones just above the diagonal) with ``corner`` at bottom left."""
     if n < 1:
         raise DomainError("n must be positive")
     rows = [[L_ZERO] * n for _ in range(n)]
     for i in range(n - 1):
         rows[i][i + 1] = L_ONE
-    rows[n - 1][0] = Laurent.z(1)
+    rows[n - 1][0] = corner
     return LaurentMatrix(tuple(tuple(row) for row in rows))
+
+
+def h_matrix(n: int) -> LaurentMatrix:
+    """The cyclic shift with a z in the corner; its n-th power is z times the identity."""
+    return _shift_matrix(n, Laurent.z(1))
 
 
 def cyclic_matrix(n: int) -> LaurentMatrix:
     """The plain cyclic permutation matrix (the z in the corner replaced by 1)."""
-    rows = [[L_ZERO] * n for _ in range(n)]
-    for i in range(n - 1):
-        rows[i][i + 1] = L_ONE
-    rows[n - 1][0] = L_ONE
-    return LaurentMatrix(tuple(tuple(row) for row in rows))
+    return _shift_matrix(n, L_ONE)
 
 
 def is_parabolic(m: LaurentMatrix) -> bool:

@@ -9,7 +9,7 @@ which weight steps a subobject inherits.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, islice, product, tee
+from itertools import combinations, islice, product
 from math import lcm
 from operator import indexOf
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -312,14 +312,15 @@ def pattern_at(
 
 def _first_wall(w: WeightSystem, d: Optional[int]) -> GenericityResult:
     q = level_denominator(w)
-    for rp, picks, levels in row_levels(numerator_rows(w, q)):
-        # the block is lazy: the copy holds the levels scanned so far, to read L back
-        levels, scan = tee(levels)
-        index = first_on_wall(scan, *wall_grid(w.rank, rp, q, d))
+    rows = numerator_rows(w, q)
+    for rp, picks, levels in row_levels(rows):
+        index = first_on_wall(levels, *wall_grid(w.rank, rp, q, d))
         if index is not None:
-            level = next(islice(levels, index, None))
-            witness = GenericityWitness(rp, pattern_at(picks, w.npoints, index), level // q)
-            return GenericityResult(False, witness)
+            pattern = pattern_at(picks, w.npoints, index)
+            # the hit's level from its pattern, formed as in row_levels: no copy of the block
+            picked = sum(picked_sums(row, [c])[0] for row, c in zip(rows, pattern))
+            level = rp * sum(map(sum, rows)) - picked
+            return GenericityResult(False, GenericityWitness(rp, pattern, level // q))
     return GenericityResult(True, None)
 
 

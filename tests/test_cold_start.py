@@ -3,11 +3,12 @@
 Each command runs on a small valid input in its own interpreter, as the
 command line runs it, and must keep the JSON contract: one JSON object line
 on stdout, nothing on stderr, exit code 0.  The ``parastab`` modules it
-loaded are pinned: a command loads only the layers it calls into.  None
-loads ``dataclasses`` or ``inspect``, which would cost several milliseconds
-per launch; the records stand on ``parastab.errors.Record``.  An in-process
-run cannot see this, since an earlier command may already have loaded a
-layer that a later one forgot to name.
+loaded are pinned: a layer loads on the first use of one of its names, so a
+command loads only the layers its code reaches, and an input refused before
+any layer is used loads none.  None loads ``dataclasses`` or ``inspect``,
+which would cost several milliseconds per launch; the records stand on
+``parastab.errors.Record``.  An in-process run cannot see this, since an
+earlier command may already have loaded a layer that a later one reaches.
 """
 
 from __future__ import annotations
@@ -79,20 +80,32 @@ def test_every_command_is_covered():
     assert sorted(CASES) == sorted(command[0] for command in _COMMANDS)
 
 
+def run(argv: list[str], stdin: str | None) -> tuple[int, dict, list[str]]:
+    """(exit code, payload, parastab modules loaded) of ``main(argv)`` in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv], capture_output=True, text=True, input=stdin
+    )
+    assert proc.stderr == ""
+    output, loaded, heavy = proc.stdout.splitlines()
+    assert json.loads(heavy) == []
+    return proc.returncode, json.loads(output), json.loads(loaded)
+
+
 @pytest.mark.parametrize("command", CASES)
 def test_command_loads_only_its_layers(command):
     args, stdin, modules = CASES[command]
-    argv = [command, *args] if stdin is None else [command, "--json", *args]
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv],
-        capture_output=True,
-        text=True,
-        input=None if stdin is None else json.dumps(stdin),
-    )
-    assert proc.stderr == ""
-    assert proc.returncode == 0, proc.stdout
-    output, loaded, heavy = proc.stdout.splitlines()
-    payload = json.loads(output)
+    if stdin is None:
+        code, payload, loaded = run([command, *args], None)
+    else:
+        code, payload, loaded = run([command, "--json", *args], json.dumps(stdin))
+    assert code == 0, payload
     assert isinstance(payload, dict) and "error" not in payload
-    assert json.loads(loaded) == sorted(modules)
-    assert json.loads(heavy) == []
+    assert loaded == sorted(modules)
+
+
+def test_refused_input_loads_no_layer():
+    code, payload, loaded = run(["aut", "--json"], "not json")
+    assert code == 2
+    assert payload["error"]["kind"] == "input"
+    assert payload["error"]["message"].startswith("invalid JSON: ")
+    assert loaded == BASE

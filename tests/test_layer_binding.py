@@ -1,18 +1,20 @@
-"""Every name a subcommand can call is bound when it runs: a static check.
+"""Every name a subcommand can call is defined when it runs: a per-command static check.
 
-``main`` binds into cli only the names of the command's ``layers``
-(``_LAYER_NAMES``) before it reads the input and runs the handler.  A name
-from any other layer is unbound there, and fails only when the branch that
-uses it runs.  ``test_cold_start.py`` runs one input per command, so it
-cannot see a branch its input does not take.  This test reads the bytecode
-instead: every global name that code reachable from the command loads must
-be defined in cli, be a builtin, or be bound by one of the command's layers.
+cli binds each ``_LAYER_NAMES`` entry at import to a stand-in that loads its
+layer on first use, so a listed name is defined for every command.  A name
+left out of that list, or misspelt, fails only when the branch that uses it
+runs, and ``test_cold_start.py`` runs one input per command, so it cannot see
+a branch its input does not take.  This test reads the bytecode instead:
+every global name that code reachable from the command loads must be defined
+in cli, be a builtin, or be a ``_LAYER_NAMES`` entry, and each such entry
+must be bound to its stand-in or to the library object it stands for.
 """
 
 from __future__ import annotations
 
 import builtins
 import dis
+import importlib
 from types import CodeType, FunctionType
 
 import pytest
@@ -23,7 +25,8 @@ BOUND = {name for names in cli._LAYER_NAMES.values() for name in names}
 # cli's own namespace, without the names that an earlier in-process run bound into it
 OWN = set(vars(cli)) - BOUND
 BUILTINS = set(dir(builtins))
-COMMANDS = {name: (kind, layers, handler) for name, _, kind, _, layers, handler in cli._COMMANDS}
+COMMANDS = {name: (kind, handler) for name, _, kind, _, handler in cli._COMMANDS}
+LAYER_OF = {name: layer for layer, names in cli._LAYER_NAMES.items() for name in names}
 
 
 def cli_defined(value) -> bool:
@@ -84,7 +87,7 @@ def reachable_globals(*roots) -> set[str]:
 def reached(command: str) -> set[str]:
     """The global names ``main`` can load running ``command``: its own code,
     the handler, the parser of its input kind and the JSON writer's hooks."""
-    kind, _, handler = COMMANDS[command]
+    kind, handler = COMMANDS[command]
     roots = [cli.main, cli._to_json, *filter(cli_defined, cli._JSON_FORMS.values()), handler]
     if kind is not None:
         roots.append(cli._KINDS[kind][0])
@@ -93,9 +96,15 @@ def reached(command: str) -> set[str]:
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_every_name_a_command_reaches_is_bound(command):
-    _, layers, _ = COMMANDS[command]
-    allowed = OWN | BUILTINS | {name for layer in layers for name in cli._LAYER_NAMES[layer]}
-    assert sorted(reached(command) - allowed) == []
+    names = reached(command)
+    assert sorted(names - OWN - BUILTINS - BOUND) == []
+    for name in sorted(names & BOUND):
+        value = vars(cli)[name]
+        if isinstance(value, cli._Deferred):
+            assert (value.layer, value.name) == (LAYER_OF[name], name)
+        else:
+            layer = importlib.import_module(f"{cli.__package__}.{LAYER_OF[name]}")
+            assert value is getattr(layer, name)
 
 
 def test_the_walk_takes_every_branch_and_only_called_methods():

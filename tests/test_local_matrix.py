@@ -186,6 +186,13 @@ def test_h_matrix_power_law():
         assert matrix_power(cyclic_matrix(n), n) == LaurentMatrix.identity(n)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("build", [h_matrix, cyclic_matrix])
+def test_shift_matrices_refuse_nonpositive_size(build, n):
+    with pytest.raises(DomainError, match="n must be positive"):
+        build(n)
+
+
 def test_inverse_exact_requires_monomial_det():
     with pytest.raises(DomainError):
         inverse_exact(LaurentMatrix.build([[Laurent.const(1) + Laurent.z()]]))

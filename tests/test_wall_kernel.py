@@ -8,6 +8,7 @@ cases, and ``iso`` pairs whose common denominator is neither system's own.
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, count, product
 from math import comb
@@ -530,3 +531,17 @@ def test_genericity_reads_no_level_past_the_hit(monkeypatch, d):
     # the hit sits mid-block, so a scan that read the whole block would show here
     assert 0 < index < comb(4, 2) ** 3 - 1
     assert read == [comb(4, 1) ** 3, index + 1]
+
+
+def test_genericity_keeps_no_copy_of_a_block():
+    """A scan that finds no wall holds no level it has passed."""
+    q = 1000003
+    w = weight_system([sorted(F(pow(2, 5 * p + i + 1, q), q) for i in range(5)) for p in range(5)])
+    tracemalloc.start()
+    try:
+        assert is_generic(w).generic
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block of subrank 2 or 3 holds 10**5 levels, about 4 MB if kept
+    assert peak < 500_000
