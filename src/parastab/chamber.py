@@ -9,7 +9,7 @@ the same semistable data at that degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations, compress, product
+from itertools import chain, combinations, compress, product, tee
 from math import comb
 from operator import ne
 from typing import Iterator, Sequence
@@ -77,13 +77,27 @@ def fingerprint_floors(rows: Sequence[Sequence[int]], d: int, q: int) -> Iterato
 
     L runs over the integer wall levels of the numerator rows, in canonical
     order, and (shift, width) is each subrank's ``wall_grid`` for degree d.
+    The half blocks of ``row_levels`` come first, each level kept as it is
+    read.  The rest are their complements, of level -L: the kept blocks in
+    reverse order, each reversed, with (shift - L) // width on the grid of
+    subrank r - r' (exact on walls too).
     """
     r = len(rows[0])
-    return chain.from_iterable(
-        map(width.__rfloordiv__, map(shift.__add__, levels))
-        for rp, _, levels in row_levels(rows)
-        for shift, width in [wall_grid(r, rp, q, d)]
-    )
+    # read here, so rank 1 is refused at the call and not at the first value
+    half = row_levels(rows)
+
+    def blocks() -> Iterator[Iterator[int]]:
+        kept = []
+        for rp, _, levels in half:
+            shift, width = wall_grid(r, rp, q, d)
+            levels, copy = tee(levels)
+            kept.append((r - rp, copy))
+            yield map(width.__rfloordiv__, map(shift.__add__, levels))
+        for rc, levels in reversed(kept):
+            shift, width = wall_grid(r, rc, q, d)
+            yield map(width.__rfloordiv__, map(shift.__sub__, reversed(list(levels))))
+
+    return chain.from_iterable(blocks())
 
 
 def chamber_fingerprint(w: WeightSystem, d: int) -> tuple[int, ...]:
@@ -98,12 +112,16 @@ def same_numerical_chamber(w1: WeightSystem, w2: WeightSystem, d: int) -> bool:
     return chamber_fingerprint(w1, d) == chamber_fingerprint(w2, d)
 
 
+# (subrank, picks per point, the levels m crossed) of one crossing pattern
+Crossing = tuple[int, tuple[tuple[int, ...], ...], range]
+
+
 def wall_crossings(
     w1: WeightSystem,
     w2: WeightSystem,
     d: int,
     relevant_only: bool = True,
-) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], range]]:
+) -> Iterator[Crossing]:
     """(subrank, picks, the levels m crossed) per crossing pattern, lazily.
 
     The m run over the integers strictly between the pattern's two wall
@@ -115,18 +133,22 @@ def wall_crossings(
     such pattern, the first system on a tie, and comes when iteration
     reaches its subrank.
 
-    One pass per subrank: each system's levels are read once, the endpoints
-    are tested for a scanned wall by ``first_on_wall``, and picks are built
-    only for the patterns whose floors (L + shift) // width on the
-    ``wall_grid`` differ, since only those have a scanned wall strictly
-    between their two levels.
+    One pass per half block of ``row_levels``: each system's levels are
+    read once, the endpoints are tested for a scanned wall by
+    ``first_on_wall`` (the earliest hit always lies in the half), and picks
+    are built only for the patterns whose floors (L + shift) // width on
+    the ``wall_grid`` differ, since only those have a scanned wall strictly
+    between their two levels.  The complement of a crossing pattern has
+    the complement picks and the opposite levels, so it crosses the
+    negated m; the other half is the half's crossings so mirrored, in
+    reverse order.
     """
     if w1.rank != w2.rank or w1.npoints != w2.npoints:
         raise DomainError("weight systems must share rank and point count")
     r, n = w1.rank, w1.npoints
     q = level_denominator(w1, w2)
 
-    def block(pair) -> list[tuple[int, tuple[tuple[int, ...], ...], range]]:
+    def block(pair) -> list[Crossing]:
         (rp, picks, levels1), (_, _, levels2) = pair
         levels1, levels2 = list(levels1), list(levels2)
         shift, width = wall_grid(r, rp, q, d if relevant_only else None)
@@ -159,6 +181,28 @@ def wall_crossings(
             for combo, f1, f2 in crossing
         ]
 
-    blocks = zip(row_levels(numerator_rows(w1, q)), row_levels(numerator_rows(w2, q)))
-    # a plain function returning a lazy chain: a subrank is scanned when reached
-    return chain.from_iterable(map(block, blocks))
+    def mirrored(rp: int, crossings: list[Crossing]) -> list[Crossing]:
+        # the i-th r'-subset's complement is the (C - 1 - i)-th (r - r')-subset
+        complement = dict(zip(
+            combinations(range(1, r + 1), rp),
+            reversed(list(combinations(range(1, r + 1), r - rp))),
+        )).__getitem__
+        return [
+            (r - rp, tuple(map(complement, combo)), range(-ms[-1], -ms[0] + 1, ms.step))
+            for _, combo, ms in reversed(crossings)
+        ]
+
+    # read here, so rank 1 is refused at the call and not at the first crossing
+    pairs = zip(row_levels(numerator_rows(w1, q)), row_levels(numerator_rows(w2, q)))
+
+    def blocks() -> Iterator[list[Crossing]]:
+        # a subrank is scanned when reached; the mirrored blocks follow the half
+        half = []
+        for pair in pairs:
+            crossings = block(pair)
+            half.append((pair[0][0], crossings))
+            yield crossings
+        for rp, crossings in reversed(half):
+            yield mirrored(rp, crossings)
+
+    return chain.from_iterable(blocks())

@@ -105,7 +105,7 @@ def _act(t: NumTransform, w: WeightSystem) -> WeightSystem:
     q = level_denominator(w)
     rows = act_on_rows(t, numerator_rows(w, q), q)
     weights = tuple(tuple(Fraction(a, q) for a in row) for row in rows)
-    return WeightSystem(rank=w.rank, points=w.points, weights=weights)
+    return WeightSystem(w.rank, w.points, weights)
 
 
 def hecke_weights(w: WeightSystem, hecke: Sequence[int]) -> WeightSystem:

@@ -72,7 +72,7 @@ def weight_system(
         raise DomainError("a weight system needs at least one point")
     r = rank if rank is not None else len(tups[0])
     labels = tuple(points) if points is not None else tuple(f"p{i + 1}" for i in range(len(tups)))
-    return WeightSystem(rank=r, points=labels, weights=tups)
+    return WeightSystem(r, labels, tups)
 
 
 class ParabolicType(Record):
@@ -139,7 +139,7 @@ def _check_shapes(w: WeightSystem, t: ParabolicType) -> None:
 def normalize(w: WeightSystem) -> WeightSystem:
     """Translate each point's tuple so its first weight is 0."""
     shifted = tuple(tuple(a - tup[0] for a in tup) for tup in w.weights)
-    return WeightSystem(rank=w.rank, points=w.points, weights=shifted)
+    return WeightSystem(w.rank, w.points, shifted)
 
 
 def owt(w: WeightSystem, t: ParabolicType) -> Fraction:
@@ -258,13 +258,21 @@ def picked_sums(row: Sequence[int], picks: Iterable[tuple[int, ...]]) -> list[in
 def row_levels(
     rows: Sequence[Sequence[int]],
 ) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], Iterator[int]]]:
-    """Per subrank r' = 1..r-1: (r', the 1-based picks, the lazy integer levels).
+    """Per subrank r' = 1..r/2: (r', the 1-based picks, the lazy integer levels of half the patterns).
 
     The levels run over one pick per point in lexicographic order; each is
     r' * (sum of all entries) - r * (sum of picked entries), so on
-    ``numerator_rows(w, q)`` it is q times the rational wall level.  Walls
-    need a proper subrank, so rank 1 is refused here, at the one entry to the
-    levels.
+    ``numerator_rows(w, q)`` it is q times the rational wall level.  The
+    other half follows by the complement rule: a pattern and its complement
+    have opposite levels, and with C = C(r, r') the complement of the i-th
+    r'-subset is the (C - 1 - i)-th (r - r')-subset.  So the block of
+    subrank r - r', in canonical order, is the block of r' negated and
+    reversed, and it is not yielded.  In the middle subrank (r = 2r') the
+    block stops where point 1's pick index reaches C/2: the rest is the
+    part read, negated and reversed.  Each block is a prefix of the
+    canonical one, so its indices are the canonical ones and ``pattern_at``
+    names them.  Walls need a proper subrank, so rank 1 is refused here, at
+    the one entry to the levels.
     """
     r = len(rows[0])
     if r < 2:
@@ -275,10 +283,13 @@ def row_levels(
         picks = tuple(combinations(range(1, r + 1), rp))
         # the level is additive over points: one picked-sum table per point
         picked = [picked_sums(row, picks) for row in rows]
+        if 2 * rp == r:
+            # point 1 leads the lexicographic order, so its first C/2 picks are a prefix
+            picked[0] = picked[0][: len(picks) // 2]
         return rp, picks, map((rp * total).__sub__, map(sum, product(*picked)))
 
     # a lazy map, so each subrank's tables are built only when reached
-    return map(block, range(1, r))
+    return map(block, range(1, r // 2 + 1))
 
 
 def wall_grid(r: int, rp: int, q: int, d: Optional[int]) -> tuple[int, int]:
@@ -295,7 +306,10 @@ def first_on_wall(levels: Iterable[int], shift: int, width: int) -> Optional[int
     """The index of the first level L with width dividing L + shift, or None.
 
     One pass at C speed that stops at the hit, so a lazy ``row_levels``
-    block is read no further than needed.
+    block is read no further than needed.  A half block is enough to find
+    the first hit of the whole: L + r'dq and -L + (r - r')dq add up to rdq,
+    so rq divides both or neither, and q divides L exactly when it divides
+    -L.
     """
     try:
         return indexOf(map(width.__rmod__, levels), -shift % width)
@@ -311,6 +325,14 @@ def pattern_at(
 
 
 def _first_wall(w: WeightSystem, d: Optional[int]) -> GenericityResult:
+    """The first pattern in canonical order on a wall (relevant for degree d unless d is None).
+
+    Only the half blocks of ``row_levels`` are scanned.  A pattern is on a
+    scanned wall exactly when its complement is (``first_on_wall``), and
+    the complement of a pattern in subrank r - r' > r/2, or in the second
+    half of the middle subrank, comes earlier.  So the first hit lies in
+    the half and is the witness a scan of every pattern would report.
+    """
     q = level_denominator(w)
     rows = numerator_rows(w, q)
     for rp, picks, levels in row_levels(rows):

@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, compress, permutations, product
+from operator import ne
 from typing import Iterator, Optional
 
 from parastab import (
@@ -24,13 +25,16 @@ from parastab import (
     WeightSystem,
     apply_to_degree,
     is_parabolic,
+    level_denominator,
     max_subdegree,
     normalize,
+    numerator_rows,
     owt,
     reduce_dual_rank2,
     twist,
 )
 from parastab.local_matrix import L_ONE, L_ZERO, _dot, tau
+from parastab.weights_core import first_on_wall, pattern_at, picked_sums, wall_grid
 
 
 class PrecisionError(DomainError):
@@ -336,6 +340,71 @@ def walls_crossed(r, w1, w2, d, relevant_only=True) -> tuple[Wall, ...]:
             m += 1
     walls.sort(key=lambda wall: (wall.subrank, wall.pattern, wall.m))
     return tuple(walls)
+
+
+def full_row_levels(rows):
+    """Per subrank r' = 1..r-1: (r', the 1-based picks, the lazy integer levels of every pattern).
+
+    The whole block of each subrank, with no complement rule: each level is
+    r' * (sum of all entries) - r * (sum of picked entries).
+    """
+    r = len(rows[0])
+    if r < 2:
+        raise DomainError("requires r >= 2 and n >= 1")
+    total = sum(map(sum, rows))
+
+    def block(rp):
+        picks = tuple(combinations(range(1, r + 1), rp))
+        picked = [picked_sums(row, picks) for row in rows]
+        return rp, picks, map((rp * total).__sub__, map(sum, product(*picked)))
+
+    return map(block, range(1, r))
+
+
+def wall_crossings(w1, w2, d, relevant_only=True):
+    """The integer crossing scan over every pattern of every subrank, lazily.
+
+    (subrank, picks, range of m) per crossing pattern in canonical order;
+    an endpoint on a scanned wall raises the error of the earliest such
+    pattern, the first system on a tie, when iteration reaches its subrank.
+    """
+    if w1.rank != w2.rank or w1.npoints != w2.npoints:
+        raise DomainError("weight systems must share rank and point count")
+    r, n = w1.rank, w1.npoints
+    q = level_denominator(w1, w2)
+
+    def block(pair):
+        (rp, picks, levels1), (_, _, levels2) = pair
+        levels1, levels2 = list(levels1), list(levels2)
+        shift, width = wall_grid(r, rp, q, d if relevant_only else None)
+        hits = []
+        for label, levels in (("first", levels1), ("second", levels2)):
+            index = first_on_wall(levels, shift, width)
+            if index is not None:
+                hits.append((index, label, levels[index]))
+        if hits:
+            index, label, level = min(hits)
+            raise DomainError(
+                f"{label} weight system lies on wall "
+                f"(subrank {rp}, picks {pattern_at(picks, n, index)}, level {level // q})"
+            )
+        floors1 = list(map(width.__rfloordiv__, map(shift.__add__, levels1)))
+        floors2 = list(map(width.__rfloordiv__, map(shift.__add__, levels2)))
+        differ = list(map(ne, floors1, floors2))
+        crossing = zip(
+            compress(product(picks, repeat=n), differ),
+            compress(floors1, differ),
+            compress(floors2, differ),
+        )
+        step, offset = width // q, shift // q
+        first = step - offset
+        return [
+            (rp, combo, range(min(f1, f2) * step + first, max(f1, f2) * step + first, step))
+            for combo, f1, f2 in crossing
+        ]
+
+    blocks = zip(full_row_levels(numerator_rows(w1, q)), full_row_levels(numerator_rows(w2, q)))
+    return chain.from_iterable(map(block, blocks))
 
 
 def hecke_weights(w: WeightSystem, hecke) -> WeightSystem:

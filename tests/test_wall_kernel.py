@@ -8,7 +8,9 @@ cases, and ``iso`` pairs whose common denominator is neither system's own.
 from __future__ import annotations
 
 import json
+import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, count, product
 from math import comb
@@ -104,6 +106,14 @@ ISO_TO = weight_system([[F(0), F(2, 9), F(7, 9)], [F(1, 7), F(4, 7), F(5, 7)]])
 MIXED_TO = weight_system([[F(1, 9), F(5, 9)], [F(2, 7), F(3, 7)]])
 
 
+def blocks_by_subrank(w):
+    """The per-pattern Fraction path's (picks, level) pairs, one list per subrank."""
+    blocks: dict[int, list] = {}
+    for rp, picks, value in oracles.levels(w):
+        blocks.setdefault(rp, []).append((picks, value))
+    return blocks
+
+
 @settings(max_examples=30)
 @given(system())
 @example((ON_WALL, 0))
@@ -111,15 +121,40 @@ MIXED_TO = weight_system([[F(1, 9), F(5, 9)], [F(2, 7), F(3, 7)]])
 @example((RANK3, -1))
 @example((WIDE, 3))
 def test_levels_and_fingerprint_match_per_pattern_path(case):
+    """Each half block is a prefix of its subrank's block, and mirroring rebuilds the rest."""
     w, d = case
+    r, n = w.rank, w.npoints
     q = level_denominator(w)
-    levels = [
-        (rp, combo, F(level, q))
-        for rp, picks, block in row_levels(numerator_rows(w, q))
-        for combo, level in zip(product(picks, repeat=w.npoints), block)
-    ]
-    assert levels == list(oracles.levels(w))
-    assert chamber_fingerprint(w, d) == oracles.fingerprint(w.rank, w, d)
+    full = blocks_by_subrank(w)
+    rebuilt = {}
+    for rp, picks, block in row_levels(numerator_rows(w, q)):
+        half = [F(level, q) for level in block]
+        assert list(zip(product(picks, repeat=n), half)) == full[rp][: len(half)]
+        mirror = [-value for value in reversed(half)]
+        if 2 * rp == r:
+            rebuilt[rp] = half + mirror
+        else:
+            rebuilt[rp], rebuilt[r - rp] = half, mirror
+    assert rebuilt == {rp: [value for _, value in block] for rp, block in full.items()}
+    assert chamber_fingerprint(w, d) == oracles.fingerprint(r, w, d)
+
+
+@settings(max_examples=30)
+@given(system())
+@example((RANK3, 0))
+@example((WIDE_GENERIC, 0))
+def test_complement_levels_are_negated_and_reversed(case):
+    """On the Fraction path alone: the block of r - r' is the block of r' negated and
+    reversed, and the pattern at each place is the complement of its mirror's."""
+    w, _ = case
+    r = w.rank
+    blocks = blocks_by_subrank(w)
+    for rp, block in blocks.items():
+        mirror = blocks[r - rp][::-1]
+        assert [value for _, value in block] == [-value for _, value in mirror]
+        for (picks, _), (complement, _) in zip(block, mirror):
+            for c, cc in zip(picks, complement):
+                assert sorted(c + cc) == list(range(1, r + 1))
 
 
 @settings(max_examples=30)
@@ -155,6 +190,65 @@ def test_walls_crossed_matches_fraction_levels(case, relevant_only):
     new = _walls_or_error(crossed_walls, w1, w2, d, relevant_only=relevant_only)
     old = _walls_or_error(oracles.walls_crossed, r, w1, w2, d, relevant_only=relevant_only)
     assert new == old
+
+
+def test_wall_crossings_match_the_full_scan():
+    """The half scan and its mirror against the full-block scan, crossings or error text.
+
+    r 2-6 and n 1-4 with per-point denominators from r to 12 (small ones put
+    many endpoints on walls) or 1000003, all walls or those of degree -3..3.
+    A middle hit is an endpoint on a wall of subrank r/2 for r >= 4.  The
+    second system shares some points with the first, so both often hit the
+    same wall first; each pair is also run swapped, which tells such a tie
+    (both orders name the first system at the same pattern) from a hit in
+    one system only.
+    """
+    rng = random.Random(22)
+    seen = Counter()
+
+    def draw(r, n, like=None):
+        """A system; with ``like`` each point keeps that system's row with probability 1/2."""
+        rows = []
+        for x in range(n):
+            den = rng.choice([*range(r, 13), 1000003])
+            rows.append([F(k, den) for k in sorted(rng.sample(range(den), r))])
+            if like is not None and rng.random() < 0.5:
+                rows[x] = like.weights[x]
+        return weight_system(rows)
+
+    while seen["pairs"] < 150:
+        r, n = rng.randrange(2, 7), rng.randrange(1, 5)
+        # (6, 4) holds 263842 patterns per system, about a second a pair: once is enough
+        if (r, n) == (6, 4) and seen[r, n]:
+            continue
+        seen[r, n] += 1
+        w1 = draw(r, n)
+        w2 = draw(r, n, w1)
+        d = rng.choice([None, *range(-3, 4)])
+        relevant_only = d is not None
+        found = []
+        for a, b in ((w1, w2), (w2, w1)):
+            new = _walls_or_error(lambda: list(wall_crossings(a, b, d or 0, relevant_only)))
+            old = _walls_or_error(lambda: list(oracles.wall_crossings(a, b, d or 0, relevant_only)))
+            assert new == old
+            found.append(new)
+        seen["pairs"] += 1
+        if isinstance(found[0], list):
+            seen["crossing"] += bool(found[0])
+            seen["mirrored"] += any(2 * rp > r for rp, _, _ in found[0])
+            # the middle block's first half is the point-1 picks holding 1
+            seen["middle mirrored"] += any(
+                2 * rp == r and 1 not in combo[0] for rp, combo, _ in found[0]
+            )
+            continue
+        where = found[0][found[0].index("(subrank"):found[0].index(", level")]
+        seen["middle"] += r % 2 == 0 and r > 2 and where.startswith(f"(subrank {r // 2},")
+        seen["tie"] += all(text.startswith("DomainError: first") for text in found) and (
+            where in found[1]
+        )
+    # the cases the mirror rule is subtle on were drawn
+    cases = ("crossing", "mirrored", "middle mirrored", "middle", "tie")
+    assert min(map(seen.__getitem__, cases)) >= 10, seen
 
 
 # MIXED sits on the walls m = 1 and m = -1 of subrank 1, irrelevant for even
@@ -506,9 +600,8 @@ R4_DEEP = weight_system([
 ])
 
 
-@pytest.mark.parametrize("d", [None, 1, 2])
-def test_genericity_reads_no_level_past_the_hit(monkeypatch, d):
-    """A lazy block is read up to its first wall only: every earlier block whole, then index + 1."""
+def count_reads(monkeypatch) -> list[int]:
+    """Make ``row_levels`` count the levels read from each block, into the returned list."""
     real = weights_core.row_levels
     read: list[int] = []
 
@@ -523,6 +616,13 @@ def test_genericity_reads_no_level_past_the_hit(monkeypatch, d):
             yield rp, picks, counted(levels, len(read) - 1)
 
     monkeypatch.setattr(weights_core, "row_levels", counting_row_levels)
+    return read
+
+
+@pytest.mark.parametrize("d", [None, 1, 2])
+def test_genericity_reads_no_level_past_the_hit(monkeypatch, d):
+    """A lazy block is read up to its first wall only: every earlier block whole, then index + 1."""
+    read = count_reads(monkeypatch)
     result = is_generic(R4_DEEP) if d is None else is_degree_generic(R4_DEEP, d)
     witness = result.witness
     assert witness is not None and witness.subrank == 2
@@ -531,6 +631,21 @@ def test_genericity_reads_no_level_past_the_hit(monkeypatch, d):
     # the hit sits mid-block, so a scan that read the whole block would show here
     assert 0 < index < comb(4, 2) ** 3 - 1
     assert read == [comb(4, 1) ** 3, index + 1]
+
+
+@pytest.mark.parametrize("r, n", [(2, 3), (3, 2), (4, 3), (5, 2), (6, 2)])
+def test_genericity_reads_half_the_levels_of_a_generic_system(monkeypatch, r, n):
+    """Subranks up to r/2, the middle one to half: half of every pattern, read once."""
+    q = 1000003
+    w = weight_system([sorted(F(pow(3, r * p + i + 1, q), q) for i in range(r)) for p in range(n)])
+    read = count_reads(monkeypatch)
+    assert is_generic(w) == oracles.first_wall(w) == GenericityResult(True, None)
+    assert is_degree_generic(w, 1).generic
+    full = [comb(r, rp) ** n for rp in range(1, r // 2 + 1)]
+    if r % 2 == 0:
+        full[-1] //= 2
+    assert read == full * 2
+    assert 2 * sum(full) == count_admissible(r, n)
 
 
 def test_genericity_keeps_no_copy_of_a_block():
