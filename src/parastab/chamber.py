@@ -121,17 +121,16 @@ def wall_crossings(
     w2: WeightSystem,
     d: int,
     relevant_only: bool = True,
-) -> Iterator[Crossing]:
-    """(subrank, picks, the levels m crossed) per crossing pattern, lazily.
+) -> list[Crossing]:
+    """(subrank, picks, the levels m crossed) per crossing pattern.
 
     The m run over the integers strictly between the pattern's two wall
     values, in increasing order; with ``relevant_only`` only those relevant
     for degree d (m + r'*d divisible by r), so the range steps by r.
-    Patterns come in canonical order and each is yielded only when its
+    Patterns come in canonical order and each is listed only when its
     range is nonempty.  Raises when an endpoint sits exactly on a scanned
     wall, since sidedness is then undefined: the error names the earliest
-    such pattern, the first system on a tie, and comes when iteration
-    reaches its subrank.
+    such pattern, the first system on a tie.
 
     One pass per half block of ``row_levels``: each system's levels are
     read once, the endpoints are tested for a scanned wall by
@@ -148,8 +147,9 @@ def wall_crossings(
     r, n = w1.rank, w1.npoints
     q = level_denominator(w1, w2)
 
-    def block(pair) -> list[Crossing]:
-        (rp, picks, levels1), (_, _, levels2) = pair
+    def block(half1, half2) -> tuple[list[Crossing], list[Crossing]]:
+        """The crossings of a half block, and those of its mirror."""
+        (rp, picks, levels1), (_, _, levels2) = half1, half2
         levels1, levels2 = list(levels1), list(levels2)
         shift, width = wall_grid(r, rp, q, d if relevant_only else None)
         hits = []
@@ -176,33 +176,24 @@ def wall_crossings(
         # endpoint is on one, so the k strictly between two floors are low + 1 .. high
         step, offset = width // q, shift // q
         first = step - offset
-        return [
+        crossings = [
             (rp, combo, range(min(f1, f2) * step + first, max(f1, f2) * step + first, step))
             for combo, f1, f2 in crossing
         ]
-
-    def mirrored(rp: int, crossings: list[Crossing]) -> list[Crossing]:
         # the i-th r'-subset's complement is the (C - 1 - i)-th (r - r')-subset
         complement = dict(zip(
             combinations(range(1, r + 1), rp),
             reversed(list(combinations(range(1, r + 1), r - rp))),
         )).__getitem__
-        return [
+        mirrored = [
             (r - rp, tuple(map(complement, combo)), range(-ms[-1], -ms[0] + 1, ms.step))
             for _, combo, ms in reversed(crossings)
         ]
+        return crossings, mirrored
 
-    # read here, so rank 1 is refused at the call and not at the first crossing
-    pairs = zip(row_levels(numerator_rows(w1, q)), row_levels(numerator_rows(w2, q)))
-
-    def blocks() -> Iterator[list[Crossing]]:
-        # a subrank is scanned when reached; the mirrored blocks follow the half
-        half = []
-        for pair in pairs:
-            crossings = block(pair)
-            half.append((pair[0][0], crossings))
-            yield crossings
-        for rp, crossings in reversed(half):
-            yield mirrored(rp, crossings)
-
-    return chain.from_iterable(blocks())
+    halves = (row_levels(numerator_rows(w, q)) for w in (w1, w2))
+    blocks = list(map(block, *halves))
+    return [
+        *chain.from_iterable(crossings for crossings, _ in blocks),
+        *chain.from_iterable(mirrored for _, mirrored in reversed(blocks)),
+    ]

@@ -32,32 +32,23 @@ from itertools import chain, combinations, product
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence
 
+from . import _SOURCES
 from .errors import DomainError, InputError
 
-# The names cli calls from each module that it loads on demand; each starts as a
-# ``_Deferred``, so a command loads just the layers its executed code reaches.
-_LAYER_NAMES: dict[str, tuple[str, ...]] = {
-    "weights_core": (
-        "ParabolicType", "dim_nonreduced_stratum", "dims", "genus_bounds", "is_concentrated",
-        "is_degree_generic", "is_generic", "normalize", "owt", "pdeg", "s_min", "wall_grid",
-        "weight_system",
-    ),
-    "chamber": (
-        "chamber_fingerprint", "pick_rows", "same_numerical_chamber", "subdegree_bounds",
-        "wall_crossings",
-    ),
-    "transform_group": (
-        "apply_to_degree", "apply_to_weights", "compose", "inverse", "make_transform",
-    ),
-    "autgroup": (
-        "CurveData", "automorphism_group", "concentrated_orders", "iso_transforms",
-        "trivial_curve",
-    ),
-    "local_matrix": (
-        "Laurent", "LaurentMatrix", "hecke_conjugation_check", "inner_factor",
-        "is_pure_tensor", "mp_closed_form", "rank1_factor", "xi_matrix",
-    ),
+# the non-public names cli calls, by the module that defines them
+_PRIVATE = {
+    "weights_core": ("wall_grid",),
+    "chamber": ("pick_rows", "wall_crossings"),
+    "local_matrix": ("inner_factor",),
     "_claims": ("FIXTURE_CLAIMS",),
+}
+# Every public name of each layer, and the private ones above; each starts as a
+# ``_Deferred``, so a command loads just the layers its executed code reaches.
+# ``errors`` is imported above instead: an ``except`` clause needs the class itself.
+_LAYER_NAMES: dict[str, tuple[str, ...]] = {
+    layer: (*_SOURCES.get(layer, ()), *_PRIVATE.get(layer, ()))
+    for layer in {**_SOURCES, **_PRIVATE}
+    if layer != "errors"
 }
 
 
@@ -202,9 +193,7 @@ class Document:
         if self.genus is None:
             raise InputError("document needs a genus for this subcommand")
         try:
-            if self.symmetries:
-                return CurveData(self.genus, self.labels, self.symmetries)
-            return trivial_curve(self.genus, self.labels)
+            return CurveData(self.genus, self.labels, self.symmetries)
         except DomainError as exc:
             raise InputError(str(exc)) from None
 

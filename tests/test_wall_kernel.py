@@ -347,6 +347,16 @@ def test_walls_crossed_on_wall_message():
     )
 
 
+def test_wall_crossings_raises_at_the_call():
+    """The crossings come as a list, so an endpoint on a wall raises before any is read."""
+    with pytest.raises(DomainError) as err:
+        wall_crossings(ON_WALL, MIXED, 0, relevant_only=False)
+    assert str(err.value) == (
+        "first weight system lies on wall (subrank 1, picks ((1,), (1,)), level 1)"
+    )
+    assert type(wall_crossings(MIXED, NEAR_ZERO, 0)) is list
+
+
 def cli_pair(command: list[str], w1, w2, d) -> tuple[int, str]:
     """Exit code and output line of a pair command run through ``main()``."""
 
