@@ -11,19 +11,16 @@ from __future__ import annotations
 import sys
 from itertools import chain, combinations, product, starmap
 from operator import eq
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .chamber import fingerprint_floors
 from .errors import DomainError, Record
 from .transform_group import NumTransform, act_on_row
 from .weights_core import (
     GenericityResult,
     WeightSystem,
-    genus_bounds,
     is_degree_generic,
     is_generic,
     level_denominator,
-    normalize,
     numerator_rows,
     picked_sums,
     wall_grid,
@@ -110,6 +107,21 @@ def _degree_pinned(
                     yield perm, sign, numerator // r, hecke
 
 
+def _floors(
+    grid: list[tuple[int, int, int]], picked: Callable, s: int, keys: Sequence[int], total: int
+) -> Iterator[int]:
+    """Row set s's fingerprint at ``keys``, lazily: (L + shift) // width per pattern.
+
+    (r', shift, width) runs over ``grid``, and L is r' times the total of
+    the rows at keys less one of each key's picked sums ``picked(s, r')``.
+    """
+    return chain.from_iterable(
+        map(width.__rfloordiv__, map((rp * total + shift).__sub__,
+                                     map(sum, product(*map(picked(s, rp).__getitem__, keys)))))
+        for rp, shift, width in grid
+    )
+
+
 def _chamber_preserving(
     candidates: Iterable[Word], w_from: WeightSystem, d_to: int, w_to: WeightSystem
 ) -> tuple[NumTransform, ...]:
@@ -119,29 +131,23 @@ def _chamber_preserving(
     row depends only on its source point, Hecke value and sign, so each such
     row is built once per call, and its picked sums per subrank when a
     candidate first reaches that subrank; a candidate only places them by
-    its perm.  A candidate whose image rows
-    are w_to's normalized rows (the identity in ``aut``) survives without
-    a comparison, since the fingerprint is translation-invariant.  Any other
-    stops at its first fingerprint value that differs, and w_to's
-    fingerprint is read only as far as some candidate has matched it.
+    its perm.  w_to's normalized rows are one more row set, read the same
+    way.  A candidate whose image rows are those (the identity in ``aut``)
+    survives without a comparison, since the fingerprint is
+    translation-invariant.  Any other stops at its first fingerprint value
+    that differs, and w_to's is read only as far as some candidate has
+    matched it.
     """
     r, n = w_from.rank, w_from.npoints
+    if r < 2:
+        raise DomainError("requires r >= 2 and n >= 1")
     q = level_denominator(w_from, w_to)
-    to_rows = numerator_rows(w_to, q)
-    target = [act_on_row(row, 0, 1, q) for row in to_rows]
-    ref: list[int] = []
-    ref_floors = fingerprint_floors(to_rows, d_to, q)
-
-    def read_on(value: int) -> bool:
-        known = next(ref_floors)
-        ref.append(known)
-        return value == known
-
-    # image[s][r*i + h]: point i's row under Hecke value h, dualized when s
+    target = [act_on_row(row, 0, 1, q) for row in numerator_rows(w_to, q)]
+    # image[s][r*i + h]: point i's row under Hecke value h, dualized when s;
+    # image[2][i]: w_to's normalized row of point i
     rows = numerator_rows(w_from, q)
-    image = [
-        [act_on_row(row, h, sign, q) for row in rows for h in range(r)] for sign in (1, -1)
-    ]
+    image = [[act_on_row(row, h, sign, q) for row in rows for h in range(r)] for sign in (1, -1)]
+    image.append(target)
     grid = [(rp, *wall_grid(r, rp, q, d_to)) for rp in range(1, r)]
     tables: dict[tuple[int, int], list[list[int]]] = {}
 
@@ -150,6 +156,14 @@ def _chamber_preserving(
             picks = tuple(combinations(range(1, r + 1), rp))
             tables[s, rp] = [picked_sums(row, picks) for row in image[s]]
         return tables[s, rp]
+
+    ref: list[int] = []
+    ref_floors = _floors(grid, picked, 2, range(n), sum(map(sum, target)))
+
+    def read_on(value: int) -> bool:
+        known = next(ref_floors)
+        ref.append(known)
+        return value == known
 
     # the first value picks each image row's leading 0, so it reads the row total alone
     _, head_shift, head_width = grid[0]
@@ -168,15 +182,7 @@ def _chamber_preserving(
             head = (total + head_shift) // head_width
             if not (ref[0] == head if ref else read_on(head)):
                 continue
-            # fingerprint_floors over the placed tables: (L + shift) // width, lazily
-            floors = chain.from_iterable(
-                map(
-                    width.__rfloordiv__,
-                    map((rp * total + shift).__sub__,
-                        map(sum, product(*map(picked(s, rp).__getitem__, keys)))),
-                )
-                for rp, shift, width in grid
-            )
+            floors = _floors(grid, picked, s, keys, total)
             if not (all(map(eq, ref, floors)) and all(map(read_on, floors))):
                 continue
         survivors.append(NumTransform(*cand))
@@ -234,7 +240,8 @@ def automorphism_group(
     survivors = _chamber_preserving(_degree_pinned(r, n, perms, d, d), w, d, w)
     torsion = _power(r, 2 * g)
     order = torsion * sum(curve.multiplicity(c.perm) for c in survivors)
-    chamber_genus = genus_bounds(normalize(w)).chamber
+    # genus_bounds(normalize(w)).chamber: normalized first weights sum to 0
+    chamber_genus = 1 + (r - 1) * n
     return AutResult(
         r=r,
         d=d,

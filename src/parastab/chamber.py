@@ -9,10 +9,10 @@ the same semistable data at that degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations, compress, product, tee
+from itertools import chain, combinations, compress, product
 from math import comb
 from operator import ne
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import DomainError
 from .weights_core import (
@@ -72,38 +72,30 @@ def subdegree_bounds(r: int, d: int, n: int) -> tuple[Fraction, Fraction]:
     return lower, upper
 
 
-def fingerprint_floors(rows: Sequence[Sequence[int]], d: int, q: int) -> Iterator[int]:
-    """The fingerprint of the weights rows / q, lazily: (L + shift) // width per pattern.
+def chamber_fingerprint(w: WeightSystem, d: int) -> tuple[int, ...]:
+    """``max_subdegree`` of every admissible pattern in canonical order, from the wall levels.
 
-    L runs over the integer wall levels of the numerator rows, in canonical
-    order, and (shift, width) is each subrank's ``wall_grid`` for degree d.
-    The half blocks of ``row_levels`` come first, each level kept as it is
-    read.  The rest are their complements, of level -L: the kept blocks in
+    Each value is (L + shift) // width, with L an integer wall level of the
+    numerator rows and (shift, width) its subrank's ``wall_grid`` for
+    degree d.  The half blocks of ``row_levels`` come first, each kept as a
+    list.  The rest are their complements, of level -L: the kept blocks in
     reverse order, each reversed, with (shift - L) // width on the grid of
     subrank r - r' (exact on walls too).
     """
-    r = len(rows[0])
-    # read here, so rank 1 is refused at the call and not at the first value
-    half = row_levels(rows)
+    r, q = w.rank, level_denominator(w)
 
     def blocks() -> Iterator[Iterator[int]]:
         kept = []
-        for rp, _, levels in half:
+        for rp, _, levels in row_levels(numerator_rows(w, q)):
             shift, width = wall_grid(r, rp, q, d)
-            levels, copy = tee(levels)
-            kept.append((r - rp, copy))
+            levels = list(levels)
+            kept.append((r - rp, levels))
             yield map(width.__rfloordiv__, map(shift.__add__, levels))
         for rc, levels in reversed(kept):
             shift, width = wall_grid(r, rc, q, d)
-            yield map(width.__rfloordiv__, map(shift.__sub__, reversed(list(levels))))
+            yield map(width.__rfloordiv__, map(shift.__sub__, reversed(levels)))
 
-    return chain.from_iterable(blocks())
-
-
-def chamber_fingerprint(w: WeightSystem, d: int) -> tuple[int, ...]:
-    """``max_subdegree`` of every admissible pattern in canonical order, from the wall levels."""
-    q = level_denominator(w)
-    return tuple(fingerprint_floors(numerator_rows(w, q), d, q))
+    return tuple(chain.from_iterable(blocks()))
 
 
 def same_numerical_chamber(w1: WeightSystem, w2: WeightSystem, d: int) -> bool:

@@ -37,6 +37,7 @@ from parastab import (
     chamber_fingerprint,
     count_admissible,
     dual_weights,
+    genus_bounds,
     hecke_weights,
     is_degree_generic,
     is_generic,
@@ -48,7 +49,7 @@ from parastab import (
     weight_system,
     weights_core,
 )
-from parastab.chamber import fingerprint_floors, wall_crossings
+from parastab.chamber import wall_crossings
 from parastab.weights_core import first_on_wall, row_levels, wall_grid
 
 F = Fraction
@@ -339,6 +340,15 @@ def test_aut_genericity_flags_match_first_wall(w, d, generic, degree_generic):
     assert result.degree_generic == oracles.first_wall(w, d).generic
 
 
+@settings(max_examples=25)
+@given(system(SEARCH_SHAPES))
+def test_chamber_genus_is_the_normalized_chamber_bound(case):
+    """The closed form 1 + (r - 1) * n is the chamber bound of the normalized weights."""
+    w, d = case
+    result = automorphism_group(w, d, CurveData(2, w.points))
+    assert result.chamber_genus == genus_bounds(normalize(w)).chamber
+
+
 def test_walls_crossed_on_wall_message():
     with pytest.raises(DomainError) as err:
         crossed_walls(ON_WALL, MIXED, 1)
@@ -531,24 +541,34 @@ def test_iso_rank2_dual_folds_onto_a_twist():
 
 
 def test_filter_reads_the_reference_only_as_far_as_matched(monkeypatch):
-    """No iso candidate survives, and aut never compares its identity."""
-    read = []
+    """No iso candidate survives, and aut never compares its identity.
 
-    def counted(rows, d, q):
-        return map(lambda value: read.append(value) or value, fingerprint_floors(rows, d, q))
+    Each call creates the reference stream of floors first, before any
+    candidate's, so the values read from the first stream are the reference's.
+    """
+    streams = []
+    floors = autgroup._floors
 
-    monkeypatch.setattr(autgroup, "fingerprint_floors", counted)
+    def counted(*args):
+        read = []
+        streams.append(read)
+        return map(lambda value: read.append(value) or value, floors(*args))
+
+    monkeypatch.setattr(autgroup, "_floors", counted)
     full = count_admissible(3, 2)
     assert iso_transforms(ISO_FROM, 0, ISO_TO, -1, curve_iso=[(1, 0)]) == ()
+    read = streams[0]
     assert 0 < len(read) < full
-    read.clear()
+    streams.clear()
     classes = automorphism_group(ISO_FROM, 1, CurveData(2, ISO_FROM.points)).classes
+    read = streams[0]
     assert classes == (NumTransform((0, 1), 1, 0, (0, 0)),)
     assert len(read) < full
     # the swap of equal points survives without a comparison too
-    read.clear()
+    streams.clear()
     swap = CurveData(2, TWIN.points, (((1, 0, 2), 1),))
     assert len(automorphism_group(TWIN, 1, swap).classes) == 2
+    read = streams[0]
     assert len(read) < count_admissible(3, 3)
 
 
@@ -565,6 +585,8 @@ def test_rank_one_is_refused_by_every_wall_scan():
         lambda: list(wall_crossings(RANK1, RANK1_OTHER, 0)),
         lambda: list(wall_crossings(RANK1, RANK1_OTHER, 0, relevant_only=False)),
         lambda: chamber_fingerprint(RANK1, 0),
+        lambda: iso_transforms(RANK1, 0, RANK1_OTHER, 0),
+        lambda: automorphism_group(RANK1, 0, CurveData(2, RANK1.points)),
     ]
     for scan in scans:
         with pytest.raises(DomainError, match=RANK_ERROR):
