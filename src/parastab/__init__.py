@@ -10,9 +10,8 @@ submodule such as ``parastab.autgroup``, is imported on first access.
 # each public name, by the submodule that defines it
 _SOURCES = {
     "autgroup": (
-        "LIFT_FAITHFUL_MIN_GENUS", "AutResult", "CurveData", "OrdersResult",
-        "automorphism_group", "candidate_transforms", "concentrated_orders",
-        "iso_transforms", "trivial_curve",
+        "AutResult", "CurveData", "OrdersResult", "automorphism_group",
+        "candidate_transforms", "concentrated_orders", "iso_transforms", "trivial_curve",
     ),
     "chamber": (
         "admissible_rows", "chamber_fingerprint", "count_admissible", "max_subdegree",

@@ -53,7 +53,7 @@ def _rank2_swap() -> tuple[bool, str]:
 
 @_claim("rank2 classes are the identity and the swapped full Hecke shift")
 def _rank2_classes() -> tuple[bool, str]:
-    curve = CurveData(genus=2, points=("x", "y"), symmetries=(((1, 0), 1),))
+    curve = CurveData(2, ("x", "y"), (((1, 0), 1),))
     result = automorphism_group(_rank2_member(Fraction(7, 10)), 0, curve)
     got = _classes(result)
     want = [((0, 1), 1, 0, (0, 0)), ((1, 0), 1, 1, (1, 1))]

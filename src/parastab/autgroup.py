@@ -26,10 +26,6 @@ from .weights_core import (
     wall_grid,
 )
 
-# below this genus the torsion lifts of distinct classes may coincide
-LIFT_FAITHFUL_MIN_GENUS = 4
-
-
 class CurveData(Record):
     """Marked-curve context: genus, point labels, and symmetry classes.
 
@@ -80,7 +76,7 @@ class CurveData(Record):
 
 
 def trivial_curve(genus: int, points: Sequence[str]) -> CurveData:
-    return CurveData(genus=genus, points=tuple(points))
+    return CurveData(genus, tuple(points), ())
 
 
 Word = tuple[tuple[int, ...], int, int, tuple[int, ...]]
@@ -243,16 +239,8 @@ def automorphism_group(
     # genus_bounds(normalize(w)).chamber: normalized first weights sum to 0
     chamber_genus = 1 + (r - 1) * n
     return AutResult(
-        r=r,
-        d=d,
-        genus=g,
-        classes=survivors,
-        torsion_factor=torsion,
-        order=order,
-        generic=bool(blanket),
-        degree_generic=bool(relative),
-        chamber_genus=chamber_genus,
-        classification_genus=max(chamber_genus, 6),
+        r, d, g, survivors, torsion, order, bool(blanket), bool(relative),
+        chamber_genus, max(chamber_genus, 6),
     )
 
 
@@ -319,4 +307,4 @@ def concentrated_orders(g: int, r: int, n_points: int, aut_order: int) -> Orders
         raise DomainError("requires g >= 0, r >= 2, n_points >= 1, aut_order >= 1")
     aut = _power(r, 2 * g) * aut_order
     ratio = _power(r, n_points - 1) * (2 if r > 2 else 1)
-    return OrdersResult(aut=aut, threebir=aut * ratio, ratio=ratio)
+    return OrdersResult(aut, aut * ratio, ratio)

@@ -32,7 +32,7 @@ from itertools import chain, combinations, product
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-from . import _SOURCES
+from . import _SOURCES, _submodule
 from .errors import DomainError, InputError
 
 # the non-public names cli calls, by the module that defines them
@@ -65,9 +65,7 @@ class _Deferred:
         self.layer, self.name = layer, name
 
     def resolve(self) -> Any:
-        path = f"{__package__}.{self.layer}"
-        __import__(path)  # unlike importlib.import_module, seen by -X importtime
-        module = sys.modules[path]
+        module = _submodule(self.layer)
         for name in _LAYER_NAMES[self.layer]:
             globals()[name] = getattr(module, name)
         return getattr(module, self.name)
@@ -112,6 +110,14 @@ def _too_long(what: str) -> InputError:
     return InputError(f"{what} has more than {sys.get_int_max_str_digits()} digits")
 
 
+def _parsed(build: Callable[..., Any], *args: Any, prefix: str = "") -> Any:
+    """``build(*args)`` on parsed input, the layer's ``DomainError`` raised as an input error."""
+    try:
+        return build(*args)
+    except DomainError as exc:
+        raise InputError(prefix + str(exc)) from None
+
+
 def _require(obj: dict, key: str, context: str) -> Any:
     if key not in obj:
         raise InputError(f"{context}: missing field {key!r}")
@@ -150,10 +156,7 @@ class Document:
                 raise InputError(f"point {label}: weights must be a list")
             labels.append(label)
             weight_rows.append([_parse_fraction(v) for v in raw])
-        try:
-            self.weights = weight_system(weight_rows, points=labels, rank=self.r)
-        except DomainError as exc:
-            raise InputError(str(exc)) from None
+        self.weights = _parsed(weight_system, weight_rows, labels, self.r)
         self.genus: Optional[int] = None
         if "genus" in obj:
             self.genus = _parse_int(obj["genus"], "genus")
@@ -192,10 +195,7 @@ class Document:
     def curve(self) -> CurveData:
         if self.genus is None:
             raise InputError("document needs a genus for this subcommand")
-        try:
-            return CurveData(self.genus, self.labels, self.symmetries)
-        except DomainError as exc:
-            raise InputError(str(exc)) from None
+        return _parsed(CurveData, self.genus, self.labels, self.symmetries)
 
 
 def _read_text(path: str) -> str:
@@ -222,25 +222,21 @@ def _parse_pattern(raw: Any, r: int, n: int) -> ParabolicType:
         and all(isinstance(v, int) and not isinstance(v, bool) and v in (0, 1) for v in row)
         for row in raw
     )
-    try:
-        if incidence:
-            return ParabolicType(tuple(tuple(row) for row in raw))
-        picks = []
-        for row in raw:
-            if not isinstance(row, list):
-                raise InputError("pattern rows must be lists")
-            picks.append([_parse_int(v, "pattern index") for v in row])
-        for row in picks:
-            if len(set(row)) != len(row):
-                raise InputError(f"invalid pattern: repeated picks in {row}")
-        return ParabolicType.from_indices(r, picks)
-    except DomainError as exc:
-        raise InputError(f"invalid pattern: {exc}") from None
+    if incidence:
+        return _parsed(ParabolicType, tuple(tuple(row) for row in raw), prefix="invalid pattern: ")
+    picks = []
+    for row in raw:
+        if not isinstance(row, list):
+            raise InputError("pattern rows must be lists")
+        picks.append([_parse_int(v, "pattern index") for v in row])
+    for row in picks:
+        if len(set(row)) != len(row):
+            raise InputError(f"invalid pattern: repeated picks in {row}")
+    return _parsed(ParabolicType.from_indices, r, picks, prefix="invalid pattern: ")
 
 
-def _parse_word(raw: Any, r: int, doc: Optional[Document] = None) -> NumTransform:
-    if isinstance(raw, str):
-        raw = _parse_json(raw)
+def _parse_word(text: str, r: int, doc: Optional[Document] = None) -> NumTransform:
+    raw = _parse_json(text)
     if not isinstance(raw, dict):
         raise InputError("transform must be an object {perm, sign, tdeg, hecke}")
     perm_raw = _require(raw, "perm", "transform")
@@ -256,10 +252,7 @@ def _parse_word(raw: Any, r: int, doc: Optional[Document] = None) -> NumTransfor
     if not isinstance(hecke_raw, list):
         raise InputError("hecke must be a list")
     hecke = tuple(_parse_int(v, "hecke entry") for v in hecke_raw)
-    try:
-        return make_transform(perm, sign, tdeg, hecke, r)
-    except DomainError as exc:
-        raise InputError(str(exc)) from None
+    return _parsed(make_transform, perm, sign, tdeg, hecke, r)
 
 
 def _laurent_terms(value: Any) -> Iterator[tuple[int, Any]]:
@@ -304,12 +297,7 @@ def _parse_matrix(obj: Any) -> LaurentMatrix:
         raise InputError("matrix entries must be a nonempty list of rows")
     if not all(isinstance(row, list) for row in obj):
         raise InputError("matrix rows must be lists")
-    try:
-        return LaurentMatrix(
-            tuple(tuple(_parse_laurent(v) for v in row) for row in obj)
-        )
-    except DomainError as exc:
-        raise InputError(str(exc)) from None
+    return _parsed(LaurentMatrix, tuple(tuple(_parse_laurent(v) for v in row) for row in obj))
 
 
 # input kind: (parser, noun in messages, keys of a --json pair,

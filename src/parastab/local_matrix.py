@@ -661,11 +661,4 @@ def hecke_conjugation_check(a: LaurentMatrix) -> HeckeReport:
         if val_a[x][c] is not None and val_inv[d][y] is not None
         and (e := val_a[x][c] + val_inv[d][y] + (d < c) - (y < x)) < 0
     )
-    return HeckeReport(
-        n=n,
-        parabolic_input=is_parabolic(a),
-        det_valuation=v,
-        k=v % n,
-        integral=not offenders,
-        offenders=offenders,
-    )
+    return HeckeReport(n, is_parabolic(a), v, v % n, not offenders, offenders)

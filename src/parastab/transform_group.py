@@ -66,12 +66,7 @@ def make_transform(
     if r < 1:
         raise DomainError("rank must be positive")
     carry = sum(h // r for h in hecke)
-    return NumTransform(
-        perm=tuple(perm),
-        sign=sign,
-        tdeg=tdeg - carry,
-        hecke=tuple(h % r for h in hecke),
-    )
+    return NumTransform(tuple(perm), sign, tdeg - carry, tuple(h % r for h in hecke))
 
 
 def act_on_row(row: Sequence[int], h: int, sign: int, q: int) -> list[int]:

@@ -207,7 +207,7 @@ def dims(g: int, n: int, r: int) -> DimsResult:
     fixed = (r * r - 1) * (g - 1) + n * (r * r - r) // 2
     nonfixed = fixed + g
     ladder = tuple(_w_summand(g, n, k) for k in range(1, r + 1))
-    return DimsResult(fixed_det=fixed, nonfixed=nonfixed, w=ladder, w_total=sum(ladder[1:]))
+    return DimsResult(fixed, nonfixed, ladder, sum(ladder[1:]))
 
 
 def dim_nonreduced_stratum(g: int, n: int, r: int, d: int) -> int:
@@ -271,8 +271,10 @@ def row_levels(
     block stops where point 1's pick index reaches C/2: the rest is the
     part read, negated and reversed.  Each block is a prefix of the
     canonical one, so its indices are the canonical ones and ``pattern_at``
-    names them.  Walls need a proper subrank, so rank 1 is refused here, at
-    the one entry to the levels.
+    names them.  Walls need a proper subrank, so rank 1 is refused here.
+    The readers are ``_first_wall``, ``chamber_fingerprint`` and
+    ``wall_crossings``; the ``aut``/``iso`` filter sums its levels from its
+    own ``picked_sums`` tables and refuses rank 1 itself.
     """
     r = len(rows[0])
     if r < 2:
@@ -413,7 +415,7 @@ def genus_bounds(
 
     lm = Fraction(m + l + 1) + Fraction(l + k, r - 1)
     codim = 1 + Fraction(l - 1, r - 1)
-    return GenusBounds(chamber=chamber, refined=refined, lm=lm, codim=codim)
+    return GenusBounds(chamber, refined, lm, codim)
 
 
 def stability_check(w: WeightSystem, d: int, sub: tuple[int, int, ParabolicType]) -> str:

@@ -562,3 +562,42 @@ def test_out_of_range_or_repeated_picks_exit_two(tmp_path, pattern):
         error = json.loads(proc.stdout)["error"]
         assert error["kind"] == "input"
         assert error["message"].startswith("invalid pattern")
+
+
+ONE_POINT = {"r": 2, "degree": 0, "points": [{"label": "x", "weights": ["1/10", "7/10"]}]}
+
+
+# one case per record built from parsed input: weights, curve, pattern, word, matrix
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (
+            ["normalize"],
+            {**ONE_POINT, "points": [{"label": "x", "weights": ["0", "1/3", "2/3"]}]},
+            "point x: expected 2 weights",
+        ),
+        (
+            ["aut"],
+            {**RANK2_DOC, "symmetries": [{"perm": [0, 0], "multiplicity": 1}]},
+            "symmetry perms must permute 0..n-1",
+        ),
+        (
+            ["owt", "--pattern", "[[3]]"],
+            ONE_POINT,
+            "invalid pattern: indices [3] out of range 1..2",
+        ),
+        (
+            ["transform", "--word", '{"perm": [0], "sign": 1, "hecke": [0, 0]}'],
+            ONE_POINT,
+            "one Hecke value is required per point",
+        ),
+        (["matrix-rank1"], {"entries": [[1, 2], [3]]}, "ragged matrix"),
+    ],
+    ids=["weights", "curve", "pattern", "word", "matrix"],
+)
+def test_a_layer_refusing_parsed_input_is_an_input_error(argv, stdin, message):
+    proc = run_cli(*argv, "--json", stdin=json.dumps(stdin))
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout) == {"error": {"kind": "input", "message": message}}

@@ -22,7 +22,7 @@ import parastab
 PUBLIC = [
     "AutResult", "CurveData", "DimsResult", "DomainError", "GenericityResult",
     "GenericityWitness", "GenusBounds", "HeckeReport", "InputError",
-    "LIFT_FAITHFUL_MIN_GENUS", "Laurent", "LaurentMatrix", "NumTransform",
+    "Laurent", "LaurentMatrix", "NumTransform",
     "OrdersResult", "ParabolicType", "WeightSystem", "act_on_rows",
     "admissible_rows", "apply_to_degree", "apply_to_weights", "automorphism_group",
     "candidate_transforms", "chamber_fingerprint", "compose", "concentrated_orders",

@@ -12,6 +12,7 @@ checks still run.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -31,7 +32,17 @@ from parastab import (
     OrdersResult,
     ParabolicType,
     WeightSystem,
+    automorphism_group,
+    concentrated_orders,
+    dims,
+    genus_bounds,
+    hecke_conjugation_check,
+    make_transform,
+    trivial_curve,
+    weight_system,
 )
+from parastab._claims import FIXTURE_CLAIMS
+from parastab.errors import Record
 
 SWAP = NumTransform((1, 0), 1, 0, (1, 0))
 WITNESS = GenericityWitness(1, ((1,), (2,)), 0)
@@ -177,3 +188,25 @@ def test_laurent_matrix_caches_its_determinant_and_stays_unhashable():
     assert m == LaurentMatrix(XI)
     with pytest.raises(TypeError):
         hash(m)
+
+
+def test_the_package_builds_its_records_by_position(monkeypatch):
+    """Each call below builds its records with every field given by position,
+    the path of ``Record.__init__`` that skips merging keywords and defaults."""
+    init, slow = Record.__init__, []
+
+    def spy(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            slow.append((type(self).__name__, sys._getframe(1).f_code.co_name))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Record, "__init__", spy)
+    w = weight_system([[F(1, 10), F(7, 10)], [F(1, 5), F(3, 5)]], ("x", "y"))
+    make_transform((1, 0), 1, 0, (3, 0), 2)
+    automorphism_group(w, 0, trivial_curve(2, w.points))
+    FIXTURE_CLAIMS["rank2 classes are the identity and the swapped full Hecke shift"]()
+    dims(2, 2, 2)
+    genus_bounds(w)
+    concentrated_orders(2, 2, 2, 1)
+    hecke_conjugation_check(LaurentMatrix(XI))
+    assert slow == []
