@@ -9,7 +9,7 @@ the same semistable data at that degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations, compress, product
+from itertools import chain, combinations, compress, product, repeat
 from math import comb
 from operator import ne
 from typing import Iterator
@@ -106,6 +106,93 @@ def same_numerical_chamber(w1: WeightSystem, w2: WeightSystem, d: int) -> bool:
 
 # (subrank, picks per point, the levels m crossed) of one crossing pattern
 Crossing = tuple[int, tuple[tuple[int, ...], ...], range]
+# (subrank, its picks, whether each pattern of its block crosses, the m of each crossing)
+CrossingBlock = tuple[int, tuple[tuple[int, ...], ...], list[bool], list[range]]
+
+
+def crossing_blocks(
+    w1: WeightSystem, w2: WeightSystem, d: int, relevant_only: bool
+) -> list[CrossingBlock]:
+    """The crossings of every subrank's block, r' = 1..r - 1, in canonical order.
+
+    Per block: (r', its picks, one flag per pattern of
+    ``product(picks, repeat=n)`` telling whether it crosses, and one range
+    of m per crossing pattern), so its crossing patterns are
+    ``compress(product(picks, repeat=n), flags)``, each with its range;
+    ``wall_crossings`` and the CLI's wall text both read them.  A pattern
+    crosses when its floors (L + shift) // width on the ``wall_grid``
+    differ between the two systems, since only then is a scanned wall
+    strictly between its two levels; its range runs over the m of those
+    walls in increasing order, stepping by r with ``relevant_only``.
+
+    Only the half blocks of ``row_levels`` are read.  The complement of
+    the i-th pattern of subrank r' is the (C^n - 1 - i)-th of subrank
+    r - r', with the opposite levels, so it crosses the negated m: the
+    block of r - r' has the half's flags reversed and its ranges negated,
+    in reverse order.  In the middle subrank (r = 2r') that mirror is the
+    block's second half.
+
+    Each system's levels are read once, and the endpoints are tested for a
+    scanned wall by ``first_on_wall`` (the earliest hit always lies in the
+    half).  A hit raises at the call, naming the earliest such pattern, the
+    first system on a tie; half blocks are read in order, so an earlier
+    subrank's hit wins.
+    """
+    if w1.rank != w2.rank or w1.npoints != w2.npoints:
+        raise DomainError("weight systems must share rank and point count")
+    r, n = w1.rank, w1.npoints
+    q = level_denominator(w1, w2)
+
+    def block(half1, half2) -> tuple[CrossingBlock, CrossingBlock]:
+        """The crossings of a half block, and those of its mirror."""
+        (rp, picks, levels1), (_, _, levels2) = half1, half2
+        shift, width = wall_grid(r, rp, q, d if relevant_only else None)
+        # each system's L + shift, read once: on a wall when width divides it
+        shifted1 = list(map(shift.__add__, levels1))
+        shifted2 = list(map(shift.__add__, levels2))
+        hits = []
+        for label, shifted in (("first", shifted1), ("second", shifted2)):
+            index = first_on_wall(shifted, 0, width)
+            if index is not None:
+                hits.append((index, label, shifted[index] - shift))
+        if hits:
+            # the earliest pattern; on a tie "first" sorts before "second"
+            index, label, level = min(hits)
+            raise DomainError(
+                f"{label} weight system lies on wall "
+                f"(subrank {rp}, picks {pattern_at(picks, n, index)}, level {level // q})"
+            )
+        floor = width.__rfloordiv__
+        differ = list(map(ne, map(floor, shifted1), map(floor, shifted2)))
+        floors1 = list(map(floor, compress(shifted1, differ)))
+        floors2 = list(map(floor, compress(shifted2, differ)))
+        # the scanned walls are the m = k * step - offset for an integer k; no
+        # endpoint is on one, so the k strictly between two floors are low + 1 .. high
+        step, offset = width // q, shift // q
+        first = step - offset
+        starts = list(map(first.__add__, map(step.__mul__, map(min, floors1, floors2))))
+        stops = list(map(first.__add__, map(step.__mul__, map(max, floors1, floors2))))
+        # range(start, stop, step) negated is range(step - stop, step - start, step)
+        mirrored = map(step.__sub__, reversed(stops)), map(step.__sub__, reversed(starts))
+        return (
+            (rp, picks, differ, list(map(range, starts, stops, repeat(step)))),
+            (
+                r - rp,
+                tuple(combinations(range(1, r + 1), r - rp)),
+                differ[::-1],
+                list(map(range, *mirrored, repeat(step))),
+            ),
+        )
+
+    halves = (row_levels(numerator_rows(w, q)) for w in (w1, w2))
+    pairs = list(map(block, *halves))
+    blocks = [half for half, _ in pairs] + [mirror for _, mirror in reversed(pairs)]
+    if r % 2 == 0:
+        # the middle subrank's half and its mirror meet: one block, whole
+        middle = r // 2 - 1
+        (rp, picks, flags, ranges), (_, _, rest, more) = blocks[middle : middle + 2]
+        blocks[middle : middle + 2] = [(rp, picks, flags + rest, ranges + more)]
+    return blocks
 
 
 def wall_crossings(
@@ -124,68 +211,11 @@ def wall_crossings(
     wall, since sidedness is then undefined: the error names the earliest
     such pattern, the first system on a tie.
 
-    One pass per half block of ``row_levels``: each system's levels are
-    read once, the endpoints are tested for a scanned wall by
-    ``first_on_wall`` (the earliest hit always lies in the half), and picks
-    are built only for the patterns whose floors (L + shift) // width on
-    the ``wall_grid`` differ, since only those have a scanned wall strictly
-    between their two levels.  The complement of a crossing pattern has
-    the complement picks and the opposite levels, so it crosses the
-    negated m; the other half is the half's crossings so mirrored, in
-    reverse order.
+    Each block of ``crossing_blocks`` gives its compressed patterns zipped
+    with its ranges.
     """
-    if w1.rank != w2.rank or w1.npoints != w2.npoints:
-        raise DomainError("weight systems must share rank and point count")
-    r, n = w1.rank, w1.npoints
-    q = level_denominator(w1, w2)
-
-    def block(half1, half2) -> tuple[list[Crossing], list[Crossing]]:
-        """The crossings of a half block, and those of its mirror."""
-        (rp, picks, levels1), (_, _, levels2) = half1, half2
-        levels1, levels2 = list(levels1), list(levels2)
-        shift, width = wall_grid(r, rp, q, d if relevant_only else None)
-        hits = []
-        for label, levels in (("first", levels1), ("second", levels2)):
-            index = first_on_wall(levels, shift, width)
-            if index is not None:
-                hits.append((index, label, levels[index]))
-        if hits:
-            # the earliest pattern; on a tie "first" sorts before "second"
-            index, label, level = min(hits)
-            raise DomainError(
-                f"{label} weight system lies on wall "
-                f"(subrank {rp}, picks {pattern_at(picks, n, index)}, level {level // q})"
-            )
-        floors1 = list(map(width.__rfloordiv__, map(shift.__add__, levels1)))
-        floors2 = list(map(width.__rfloordiv__, map(shift.__add__, levels2)))
-        differ = list(map(ne, floors1, floors2))
-        crossing = zip(
-            compress(product(picks, repeat=n), differ),
-            compress(floors1, differ),
-            compress(floors2, differ),
-        )
-        # the scanned walls are the m = k * step - offset for an integer k; no
-        # endpoint is on one, so the k strictly between two floors are low + 1 .. high
-        step, offset = width // q, shift // q
-        first = step - offset
-        crossings = [
-            (rp, combo, range(min(f1, f2) * step + first, max(f1, f2) * step + first, step))
-            for combo, f1, f2 in crossing
-        ]
-        # the i-th r'-subset's complement is the (C - 1 - i)-th (r - r')-subset
-        complement = dict(zip(
-            combinations(range(1, r + 1), rp),
-            reversed(list(combinations(range(1, r + 1), r - rp))),
-        )).__getitem__
-        mirrored = [
-            (r - rp, tuple(map(complement, combo)), range(-ms[-1], -ms[0] + 1, ms.step))
-            for _, combo, ms in reversed(crossings)
-        ]
-        return crossings, mirrored
-
-    halves = (row_levels(numerator_rows(w, q)) for w in (w1, w2))
-    blocks = list(map(block, *halves))
-    return [
-        *chain.from_iterable(crossings for crossings, _ in blocks),
-        *chain.from_iterable(mirrored for _, mirrored in reversed(blocks)),
-    ]
+    n = w1.npoints
+    return list(chain.from_iterable(
+        zip(repeat(rp), compress(product(picks, repeat=n), flags), ranges)
+        for rp, picks, flags, ranges in crossing_blocks(w1, w2, d, relevant_only)
+    ))

@@ -28,7 +28,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, compress, product, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -38,7 +38,7 @@ from .errors import DomainError, InputError
 # the non-public names cli calls, by the module that defines them
 _PRIVATE = {
     "weights_core": ("wall_grid",),
-    "chamber": ("pick_rows", "wall_crossings"),
+    "chamber": ("crossing_blocks", "pick_rows"),
     "local_matrix": ("inner_factor",),
     "_claims": ("FIXTURE_CLAIMS",),
 }
@@ -399,27 +399,31 @@ def _ser_walls(
 ) -> tuple[int, _Json]:
     """The count and text of the {"m", "picks", "relevant", "subrank"} list.
 
-    One formatted string per wall, straight from the crossing ranges, with
-    one picks text per crossing pattern, so no wall dict is built for the
-    encoder to walk.  An m is relevant when it lies on its subrank's
-    ``wall_grid`` for degree d at q = 1.
+    Per block of ``crossing_blocks``, the walls come from iterator
+    pipelines, with no Python loop per crossing or per wall: the m are the
+    chained crossing ranges; each crossing's picks text is one
+    ``",".join`` of ``compress(product(texts, repeat=n), flags)``, repeated
+    once per wall of its range; and each wall is one ``%``-format of its
+    zipped (m, picks[, relevant]).  An m is relevant (``--all``) when it
+    lies on its subrank's ``wall_grid`` for degree d at q = 1.
     """
-    r = w1.rank
-    pick_text = {
-        c: "[%s]" % ",".join(map(str, c))
-        for rp in range(1, r)
-        for c in combinations(range(1, r + 1), rp)
-    }.__getitem__
-    grid = {rp: wall_grid(r, rp, 1, d) for rp in range(1, r)}
-    boolean = ("false", "true")
-    walls = [
-        f'{{"m":{m},"picks":[{picks}],'
-        f'"relevant":{boolean[relevant_only or (m + shift) % width == 0]},"subrank":{rp}}}'
-        for rp, combo, levels in wall_crossings(w1, w2, d, relevant_only)
-        for shift, width in [grid[rp]]
-        for picks in [",".join(map(pick_text, combo))]
-        for m in levels
-    ]
+    r, n = w1.rank, w1.npoints
+    walls: list[str] = []
+    for rp, picks, flags, ranges in crossing_blocks(w1, w2, d, relevant_only):
+        texts = ["[%s]" % ",".join(map(str, c)) for c in picks]
+        crossing_texts = map(",".join, compress(product(texts, repeat=n), flags))
+        ms = list(chain.from_iterable(ranges))
+        columns = [ms, chain.from_iterable(map(repeat, crossing_texts, map(len, ranges)))]
+        if relevant_only:
+            fmt = '{"m":%%d,"picks":[%%s],"relevant":true,"subrank":%d}' % rp
+        else:
+            fmt = '{"m":%%d,"picks":[%%s],"relevant":%%s,"subrank":%d}' % rp
+            # width divides m + shift exactly when m % width is -shift % width
+            shift, width = wall_grid(r, rp, 1, d)
+            relevant = ["false"] * width
+            relevant[-shift % width] = "true"
+            columns.append(map(relevant.__getitem__, map(width.__rmod__, ms)))
+        walls.extend(map(fmt.__mod__, zip(*columns)))
     return len(walls), _Json("[%s]" % ",".join(walls))
 
 
@@ -622,6 +626,10 @@ def _cmd_aut(args, doc: Document) -> dict:
 )
 def _cmd_iso(args, doc1: Document, doc2: Document) -> dict:
     _agree(doc1, doc2, "r")
+    # spaces over curves of different genus differ in dimension (``dims``);
+    # a document with no genus makes no claim about its curve
+    if None not in (doc1.genus, doc2.genus) and doc1.genus != doc2.genus:
+        raise InputError("documents disagree on genus")
     perms: list[tuple[int, ...]] = []
     if args.perms is not None:
         raw = _parse_json(args.perms)

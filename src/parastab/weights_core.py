@@ -9,9 +9,9 @@ which weight steps a subobject inherits.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import chain, combinations, cycle, islice, product, repeat
 from math import lcm
-from operator import indexOf
+from operator import indexOf, sub
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DomainError, Record
@@ -272,8 +272,15 @@ def row_levels(
     part read, negated and reversed.  Each block is a prefix of the
     canonical one, so its indices are the canonical ones and ``pattern_at``
     names them.  Walls need a proper subrank, so rank 1 is refused here.
+
+    The sums are layered, a point at a time and all lazily: each partial
+    level is repeated once per entry of the next point's table, and the
+    table, cycled, is subtracted
+    (``map(sub, chain.from_iterable(map(repeat, partial, repeat(C))), cycle(table))``).
+    So a level costs about one C-level subtraction, not a sum of n, and a
+    scan that stops at a hit holds no level it has passed.
     The readers are ``_first_wall``, ``chamber_fingerprint`` and
-    ``wall_crossings``; the ``aut``/``iso`` filter sums its levels from its
+    ``crossing_blocks``; the ``aut``/``iso`` filter sums its levels from its
     own ``picked_sums`` tables and refuses rank 1 itself.
     """
     r = len(rows[0])
@@ -288,7 +295,13 @@ def row_levels(
         if 2 * rp == r:
             # point 1 leads the lexicographic order, so its first C/2 picks are a prefix
             picked[0] = picked[0][: len(picks) // 2]
-        return rp, picks, map((rp * total).__sub__, map(sum, product(*picked)))
+        # layered: each partial level less every entry of the next table, all lazy
+        levels = iter([rp * total])
+        for table in picked:
+            levels = map(
+                sub, chain.from_iterable(map(repeat, levels, repeat(len(table)))), cycle(table)
+            )
+        return rp, picks, levels
 
     # a lazy map, so each subrank's tables are built only when reached
     return map(block, range(1, r // 2 + 1))

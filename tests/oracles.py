@@ -407,6 +407,32 @@ def wall_crossings(w1, w2, d, relevant_only=True):
     return chain.from_iterable(map(block, blocks))
 
 
+def ser_walls(w1, w2, d, relevant_only):
+    """The count and text of the CLI's {"m", "picks", "relevant", "subrank"} list.
+
+    One f-string per wall over the full scan's ``wall_crossings``, with one
+    picks text per crossing pattern; an m is relevant when it lies on its
+    subrank's ``wall_grid`` for degree d at q = 1.
+    """
+    r = w1.rank
+    pick_text = {
+        c: "[%s]" % ",".join(map(str, c))
+        for rp in range(1, r)
+        for c in combinations(range(1, r + 1), rp)
+    }.__getitem__
+    grid = {rp: wall_grid(r, rp, 1, d) for rp in range(1, r)}
+    boolean = ("false", "true")
+    walls = [
+        f'{{"m":{m},"picks":[{picks}],'
+        f'"relevant":{boolean[relevant_only or (m + shift) % width == 0]},"subrank":{rp}}}'
+        for rp, combo, levels in wall_crossings(w1, w2, d, relevant_only)
+        for shift, width in [grid[rp]]
+        for picks in [",".join(map(pick_text, combo))]
+        for m in levels
+    ]
+    return len(walls), "[%s]" % ",".join(walls)
+
+
 def hecke_weights(w: WeightSystem, hecke) -> WeightSystem:
     """Shift each point's flag by its Hecke value, one Fraction entry at a time."""
     r = w.rank

@@ -7,11 +7,15 @@ curve already carry, so any change in a class list, an order, a report or an
 error message shows here.  Cases cover generic and on-wall weights, strict
 mode, curve relabelings, documents of different point counts, monomial and
 non-monomial determinants, the Laurent fallback of the determinant, and the
-rank-1, inner and exponent-pattern matrix commands.  Two hashes were
-recorded again since, each for one deliberate change: ``hecke/starved``
+rank-1, inner and exponent-pattern matrix commands.  Five hashes were
+recorded again since, for three deliberate changes: ``hecke/starved``
 when the Hecke check became exact (a report at any ``--precision``, where a
-precision error was), and ``iso/point-counts`` when documents of different
-point counts became an input error like documents of different ranks.
+precision error was), ``iso/point-counts`` when documents of different
+point counts became an input error like documents of different ranks, and
+``iso/match``, ``iso/match-back`` and ``iso/perms`` when documents that
+give different genera did (their pairs are genus 3 against genus 2).  The
+``*-same-genus`` cases give the image genus 3 and keep the hashes those
+three had before.
 
 The help text of ``parastab -h`` and of every ``parastab <command> -h`` is
 pinned the same way, at 80 columns, as CPython 3.11's argparse lays it out,
@@ -50,6 +54,8 @@ R2_GENERIC = doc(
 )
 # R2_GENERIC moved by the transform (perm (1, 0, 2), sign 1, tdeg 0, hecke (1, 0, 1))
 R2_IMAGE = doc(2, -1, ["0 2/3", "0 3/7", "0 9/11"], genus=2)
+# the same image over a curve of R2_GENERIC's genus
+R2_IMAGE_G3 = {**R2_IMAGE, "genus": 3}
 R3_GENERIC = doc(3, -1, ["1/13 5/13 11/13", "3/17 7/17 16/17"], genus=1)
 R3_WALL = doc(3, -1, ["1/8 3/8 7/8"], genus=2)
 
@@ -69,6 +75,10 @@ CASES = {
     "iso/match-back": (["iso"], {"first": R2_IMAGE, "second": R2_GENERIC}),
     "iso/perms": (["iso", "--perms", '[["y","x","z"],[2,1,0]]'],
                   {"first": R2_GENERIC, "second": R2_IMAGE}),
+    "iso/match-same-genus": (["iso"], {"first": R2_GENERIC, "second": R2_IMAGE_G3}),
+    "iso/match-back-same-genus": (["iso"], {"first": R2_IMAGE_G3, "second": R2_GENERIC}),
+    "iso/perms-same-genus": (["iso", "--perms", '[["y","x","z"],[2,1,0]]'],
+                             {"first": R2_GENERIC, "second": R2_IMAGE_G3}),
     "iso/strict-error": (["iso", "--strict"], {"first": R3_WALL, "second": R3_WALL}),
     "iso/point-counts": (["iso"], {"first": R2_WALL, "second": R2_IMAGE}),
     "iso/unrelated": (["iso"], {"first": R2_WALL, "second": doc(2, 0, ["1/3 1/2", "0 1/4"])}),
@@ -101,9 +111,12 @@ HASHES = {
     "aut/r2-generic-strict": "4c71b9d01fedb5de938e340c6f21e99da9698dbfcaab17e40cf485978d91d1a7",
     "aut/r3-generic-strict": "b189457fca22898b7f6bc7ad5403f33ea04b8843fcfe2e5fc3e19e631e3b2d5f",
     "aut/r3-wall": "f8b46d9bfc1edccc06d083a28759c38bed0a1e67c5e696e4c62944b514b8674d",
-    "iso/match": "68b1a09bb865ffbee16dd07c5b3d0e7a07078fa82aa11758360c82d0289069b6",
-    "iso/match-back": "f96b51d872b1234f03aa79623dab8920941b4ea9cc447668195cefdf2ba9ecee",
-    "iso/perms": "45d4cb4f51fa74c4a9688216e62efc37aeac752c22240b8bc11373b5240d8c71",
+    "iso/match": "b5690d3f1a8252ae5ee0291977aa0038b06cc6a230359361f6203f7ae360511b",
+    "iso/match-back": "b5690d3f1a8252ae5ee0291977aa0038b06cc6a230359361f6203f7ae360511b",
+    "iso/perms": "b5690d3f1a8252ae5ee0291977aa0038b06cc6a230359361f6203f7ae360511b",
+    "iso/match-same-genus": "68b1a09bb865ffbee16dd07c5b3d0e7a07078fa82aa11758360c82d0289069b6",
+    "iso/match-back-same-genus": "f96b51d872b1234f03aa79623dab8920941b4ea9cc447668195cefdf2ba9ecee",
+    "iso/perms-same-genus": "45d4cb4f51fa74c4a9688216e62efc37aeac752c22240b8bc11373b5240d8c71",
     "iso/strict-error": "81a33e1fcfce2cc2e20d1b9326b29ce5e83bcec1d703e48f7f37c04ce24110e0",
     "iso/point-counts": "5e1ea9b3ee293502b32c789120d4c4aa80a3dea2418396ec31915a3bc859d3fb",
     "iso/unrelated": "36952cf552acb9fffa0b72b969760481bc9986641ecae15b28b7466269421cbb",

@@ -12,7 +12,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, count, product
+from itertools import combinations, count, islice, product
 from math import comb
 
 import pytest
@@ -50,6 +50,7 @@ from parastab import (
     weights_core,
 )
 from parastab.chamber import wall_crossings
+from parastab.cli import _ser_walls
 from parastab.weights_core import first_on_wall, row_levels, wall_grid
 
 F = Fraction
@@ -513,6 +514,32 @@ def test_row_action_matches_fraction_oracle(case):
             assert act_on_rows(t, wide, k * q) == numerator_rows(old, k * q)
 
 
+@settings(max_examples=15)
+@given(system(SEARCH_SHAPES), st.integers(0, 9), st.integers(1, 9))
+@example((MIXED, 0), 2, 1)
+@example((RANK3, -1), 0, 5)
+def test_iso_refuses_documents_of_different_genus(case, genus, gap):
+    """Spaces over curves of different genus differ in dimension (``dims``), so two
+    documents that differ only in genus get no transform; with one genus left out
+    the pair is answered, the identity among its transforms."""
+    w, d = case
+
+    def doc(**curve):
+        points = [
+            {"label": label, "weights": [str(a) for a in tup]}
+            for label, tup in zip(w.points, w.weights)
+        ]
+        return {"r": w.rank, "degree": d, "points": points, **curve}
+
+    refused = (2, {"error": {"kind": "input", "message": "documents disagree on genus"}})
+    for first, second in ((genus, genus + gap), (genus + gap, genus)):
+        code, out = run(["iso"], {"first": doc(genus=first), "second": doc(genus=second)})
+        assert (code, json.loads(out)) == refused
+    code, out = run(["iso"], {"first": doc(genus=genus), "second": doc()})
+    identity = {"perm": list(range(w.npoints)), "sign": 1, "tdeg": 0, "hecke": [0] * w.npoints}
+    assert code == 0 and identity in json.loads(out)["transforms"]
+
+
 def test_iso_over_a_common_denominator_and_two_degrees():
     q = level_denominator(ISO_FROM, ISO_TO)
     assert q not in (level_denominator(ISO_FROM), level_denominator(ISO_TO))
@@ -605,6 +632,69 @@ def test_rank_one_still_transforms():
     })
     assert code == 0
     assert json.loads(out)["weights"] == [["0"], ["0"]]
+
+
+def spread(r: int, n: int, base: int):
+    """Weights base^k mod q over q = 1000003, so generic: the walls crossed are many."""
+    q = 1000003
+    return weight_system(
+        [sorted(F(pow(base, r * p + i + 1, q), q) for i in range(r)) for p in range(n)]
+    )
+
+
+@st.composite
+def text_pair(draw):
+    """Two systems of one shape, r 1-5 and n 1-5, at a degree in -3..3."""
+    r, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return draw(weights(r, n)), draw(weights(r, n)), draw(st.integers(-3, 3))
+
+
+@settings(max_examples=40)
+@given(text_pair(), st.booleans())
+@example((ON_WALL, MIXED, 0), True)
+@example((MIXED, ON_WALL, 1), False)
+@example((MIXED, NEAR_ZERO, 1), False)
+@example((MIXED, NEAR_ZERO, 0), True)
+@example((spread(4, 3, 2), spread(4, 3, 3), 1), True)
+@example((spread(5, 3, 2), spread(5, 3, 3), -2), True)
+@example((spread(5, 3, 2), spread(5, 3, 3), 1), False)
+@example((RANK1, RANK1_OTHER, 0), True)
+@example((WIDE_GENERIC, WIDE, 3), True)
+@example((DEEP, DEEP_OTHER, 0), False)
+def test_wall_text_matches_the_oracle(case, relevant_only):
+    """cli's wall text, built by iterator pipelines, is the oracle's f-strings byte for
+    byte; an endpoint on a wall, or rank 1, raises the same error on both."""
+    w1, w2, d = case
+    expected = _walls_or_error(oracles.ser_walls, w1, w2, d, relevant_only)
+    assert _walls_or_error(_ser_walls, w1, w2, d, relevant_only) == expected
+
+
+# every (r, n) with r 2-6 and n 1-5 but (6, 5), whose 2.4 million half levels take
+# seconds per example
+LEVEL_SHAPES = [(r, n) for r in range(2, 7) for n in range(1, 6) if (r, n) != (6, 5)]
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(LEVEL_SHAPES).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-10**12, 10**12), min_size=shape[0], max_size=shape[0]),
+        min_size=shape[1], max_size=shape[1],
+    )
+))
+@example([[0, 3]])
+@example([[5, 1, 4, 2]])
+@example([[3, 1, 4, 1, 5, 9], [2, 6, 5, 3, 5, 8], [9, 7, 9, 3, 2, 3]])
+@example([[2, 7, 1], [8, 2, 8], [1, 8, 2], [8, 4, 5], [9, 0, 4]])
+def test_layered_levels_match_the_product_sums(rows):
+    """Each half block of ``row_levels`` is the prefix of ``map(sum, product(*picked))``'s
+    block: all of it below the middle subrank, the first half in it (r = 2r')."""
+    r, n = len(rows[0]), len(rows)
+    blocks = list(row_levels(rows))
+    assert [rp for rp, _, _ in blocks] == list(range(1, r // 2 + 1))
+    for (rp, picks, levels), (_, full_picks, full) in zip(blocks, oracles.full_row_levels(rows)):
+        size = comb(r, rp) ** n // (2 if 2 * rp == r else 1)
+        assert picks == full_picks
+        assert list(levels) == list(islice(full, size))
 
 
 def bounded(levels, limit=10**5):
