@@ -720,11 +720,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the usage is spelled out, as argparse versions wrap the command list differently
+    indent = "\n" + " " * len("usage: parastab ")
+    names = ",".join(command[0] for command in _COMMANDS)
     parser = _Parser(
         prog="parastab",
+        usage=f"%(prog)s [-h]{indent}{{{names}}}{indent}...",
         description="Exact stability-chamber invariants and transformation groups",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # prog given, so no subcommand's prog is derived from that usage
+    sub = parser.add_subparsers(dest="command", required=True, prog="parastab")
     for name, help_text, kind, extra, handler in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         if kind is not None:

@@ -23,15 +23,23 @@ Rational = Union[int, Fraction]
 
 
 class Laurent:
-    """Exact Laurent polynomial: a finite map exponent -> nonzero Fraction."""
+    """Exact Laurent polynomial: a finite map exponent -> nonzero Fraction.
+
+    ``Laurent(coeffs)`` is the checked boundary: int exponents, int or
+    Fraction coefficients (a float or any other value is a DomainError),
+    zeros dropped.  Arithmetic builds its results through ``_laurent``,
+    which takes a map that is already clean.
+    """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Optional[dict[int, Fraction]] = None) -> None:
+    def __init__(self, coeffs: Optional[dict[int, Rational]] = None) -> None:
         clean: dict[int, Fraction] = {}
         if coeffs:
             for exp, val in coeffs.items():
-                frac = Fraction(val)
+                if not isinstance(exp, int):
+                    raise DomainError(f"expected an integer exponent, got {exp!r}")
+                frac = _rational(val)
                 if frac:
                     clean[int(exp)] = frac
         self.coeffs = clean
@@ -39,11 +47,11 @@ class Laurent:
     # -- constructors -------------------------------------------------
     @staticmethod
     def const(value: Rational) -> "Laurent":
-        return Laurent({0: Fraction(value)})
+        return Laurent({0: value})
 
     @staticmethod
     def z(exp: int = 1, coeff: Rational = 1) -> "Laurent":
-        return Laurent({exp: Fraction(coeff)})
+        return Laurent({exp: coeff})
 
     @staticmethod
     def lift(value: Union["Laurent", Rational]) -> "Laurent":
@@ -68,17 +76,22 @@ class Laurent:
         return len(self.coeffs) == 1
 
     def shift(self, exp: int) -> "Laurent":
-        return Laurent({e + exp: c for e, c in self.coeffs.items()})
+        return _laurent({e + exp: c for e, c in self.coeffs.items()})
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "Laurent") -> "Laurent":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Laurent(out)
+            if e in out:
+                c += out[e]
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c
+        return _laurent(out)
 
     def __neg__(self) -> "Laurent":
-        return Laurent({e: -c for e, c in self.coeffs.items()})
+        return _laurent({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "Laurent") -> "Laurent":
         return self + (-other)
@@ -87,8 +100,10 @@ class Laurent:
         return _dot((self,), (other,))
 
     def scale(self, value: Rational) -> "Laurent":
-        frac = Fraction(value)
-        return Laurent({e: c * frac for e, c in self.coeffs.items()})
+        frac = _rational(value)
+        if not frac:
+            return L_ZERO
+        return _laurent({e: c * frac for e, c in self.coeffs.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Laurent):
@@ -102,6 +117,21 @@ class Laurent:
             return "Laurent(0)"
         parts = [f"{c}*z^{e}" for e, c in sorted(self.coeffs.items())]
         return "Laurent(" + " + ".join(parts) + ")"
+
+
+def _rational(value: Rational) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise DomainError(f"expected a rational coefficient, got {value!r}")
+
+
+def _laurent(coeffs: dict[int, Fraction]) -> Laurent:
+    """A Laurent that owns ``coeffs``: int keys, nonzero Fraction values, unchecked."""
+    out = object.__new__(Laurent)
+    out.coeffs = coeffs
+    return out
 
 
 L_ZERO = Laurent()
@@ -124,12 +154,12 @@ def _poly_divmod(num: Laurent, den: Laurent) -> tuple[Laurent, Laurent]:
         quo[rdeg - ddeg] = factor
         for e, c in den.coeffs.items():
             key = e + rdeg - ddeg
-            val = rem.get(key, Fraction(0)) - factor * c
+            val = rem.get(key, 0) - factor * c
             if val:
                 rem[key] = val
             else:
                 rem.pop(key, None)
-    return Laurent(quo), Laurent(rem)
+    return _laurent(quo), _laurent(rem)
 
 
 def exact_divide(num: Laurent, den: Laurent) -> Optional[Laurent]:
@@ -264,7 +294,25 @@ class LaurentMatrix(Record):
         + ... + c_(n-1) I) by Horner's rule.  O(n^4) ring operations and no
         division, so singular matrices need no separate path.
 
-        The ring operations run on Python ints (Kronecker substitution).
+        The ring operations run on Python ints (Kronecker substitution, see
+        ``_packed``) and are read back here.  When the matrix is too wide to
+        pack, the same recursion runs on the Laurent entries instead.
+        """
+        packed = self._packed
+        if packed is None:
+            det, adj = _berkowitz(self.rows, L_ONE, L_ZERO, _dot)
+            return det, LaurentMatrix(tuple(map(tuple, adj)))
+        det, adj, den, low, width = packed
+        n = self.nrows
+        scale, shift = den ** (n - 1), (n - 1) * low
+        return _unpack(det, width, scale * den, shift + low), LaurentMatrix(
+            tuple(tuple(_unpack(v, width, scale, shift) for v in row) for row in adj)
+        )
+
+    @cached_property
+    def _packed(self) -> Optional[tuple[int, list[list[int]], int, int, int]]:
+        """(det(P), adj(P) rows, den, m, B) at z = 2^B, or None when too wide to pack (cached).
+
         With den the lcm of all coefficient denominators and m the least
         exponent, each entry becomes P = z^(-m) * den * A, a polynomial
         with integer coefficients, evaluated at z = 2^B.  Evaluation is a
@@ -275,23 +323,16 @@ class LaurentMatrix(Record):
         1-norms bounds every minor), and B is two bits above that bound,
         rounded up to whole bytes.  When n * span * B exceeds
         _PACK_LIMIT_BITS times the most terms any entry holds (a sparse
-        entry such as z^(10^6)), the same recursion runs on the Laurent
-        entries instead.
+        entry such as z^(10^6)), this is None.
         """
         if self.nrows != self.ncols:
             raise DomainError("determinant and adjugate need a square matrix")
-        n, rows = self.nrows, self.rows
-        packing = _packing(rows)
+        packing = _packing(self.rows)
         if packing is None:
-            det, adj = _berkowitz(rows, L_ONE, L_ZERO, _dot)
-            return det, LaurentMatrix(tuple(map(tuple, adj)))
+            return None
         den, low, width = packing
-        ints = [[_pack(e, den, low, width) for e in row] for row in rows]
-        det, adj = _berkowitz(ints, 1, 0, _int_dot)
-        scale, shift = den ** (n - 1), (n - 1) * low
-        return _unpack(det, width, scale * den, shift + low), LaurentMatrix(
-            tuple(tuple(_unpack(v, width, scale, shift) for v in row) for row in adj)
-        )
+        ints = [[_pack(e, den, low, width) for e in row] for row in self.rows]
+        return (*_berkowitz(ints, 1, 0, _int_dot), den, low, width)
 
 
 def _berkowitz(rows, one, zero, dot) -> tuple:
@@ -322,15 +363,16 @@ def _berkowitz(rows, one, zero, dot) -> tuple:
     return poly[n], [[-v for v in row] for row in q]
 
 
-def _dot(xs: Sequence[Laurent], ys: Sequence[Laurent]) -> Laurent:
-    """Sum of the pairwise products, accumulated in one coefficient map."""
+def _dot(xs: Sequence[Laurent], ys: Sequence[Laurent], shift: int = 0) -> Laurent:
+    """z^shift times the sum of the pairwise products, accumulated in one coefficient map."""
     out: dict[int, Fraction] = {}
     for x, y in zip(xs, ys):
         for e1, c1 in x.coeffs.items():
+            e1 += shift
             for e2, c2 in y.coeffs.items():
                 e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-    return Laurent(out)
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return _laurent({e: c for e, c in out.items() if c})
 
 
 def _int_dot(xs: Sequence[int], ys: Sequence[int]) -> int:
@@ -394,7 +436,17 @@ def _unpack(value: int, width: int, scale: int, shift: int) -> Laurent:
         c = int.from_bytes(raw[k * size:(k + 1) * size], "little") - half
         if c:
             coeffs[k + shift] = Fraction(c, scale)
-    return Laurent(coeffs)
+    return _laurent(coeffs)
+
+
+def _int_valuation(value: int, width: int, shift: int) -> Optional[int]:
+    """Valuation of what ``_unpack(value, width, scale, shift)`` returns, read off the int.
+
+    The lowest nonzero balanced digit d_k is below 2^(width - 2) in size,
+    so value = 2^(k * width) * (d_k + 2^width * rest) has fewer than
+    width trailing zeros past k * width.
+    """
+    return ((value & -value).bit_length() - 1) // width + shift if value else None
 
 
 def inverse_exact(m: LaurentMatrix) -> LaurentMatrix:
@@ -576,11 +628,13 @@ def mp_closed_form(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     if a.ncols != n or b.nrows != n or b.ncols != n:
         raise DomainError("expected two square matrices of equal size")
     xi = xi_matrix(n)
-    kron = a.kron(b.transpose())
     return LaurentMatrix(
         tuple(
-            tuple(v.shift(xi[p][q]) for q, v in enumerate(row))
-            for p, row in enumerate(kron.rows)
+            tuple(
+                _dot((x,), (y,), e) if x.coeffs else L_ZERO
+                for (x, y), e in zip(product(row_a, row_b), shifts)
+            )
+            for (row_a, row_b), shifts in zip(product(a.rows, b.transpose().rows), xi)
         )
     )
 
@@ -649,12 +703,11 @@ def hecke_conjugation_check(a: LaurentMatrix) -> HeckeReport:
     n = a.nrows
     if a.ncols != n:
         raise DomainError("expected a square matrix")
-    det, adj = a.det_adjugate
-    if det.is_zero():
+    v, val_adj = _det_adjugate_valuations(a)
+    if v is None:
         raise DomainError("matrix is singular")
-    v = det.valuation()
     val_a = [[e.valuation() for e in row] for row in a.rows]
-    val_inv = [[None if e.is_zero() else e.valuation() - v for e in row] for row in adj.rows]
+    val_inv = [[None if e is None else e - v for e in row] for row in val_adj]
     offenders = tuple(
         (tau(n, x, y), tau(n, c, d), e)
         for x, y, c, d in product(range(n), repeat=4)
@@ -662,3 +715,17 @@ def hecke_conjugation_check(a: LaurentMatrix) -> HeckeReport:
         and (e := val_a[x][c] + val_inv[d][y] + (d < c) - (y < x)) < 0
     )
     return HeckeReport(n, is_parabolic(a), v, v % n, not offenders, offenders)
+
+
+def _det_adjugate_valuations(a: LaurentMatrix) -> tuple[Optional[int], list[list[Optional[int]]]]:
+    """val(det) and each adjugate entry's valuation (None for zero), read off
+    the packed ints when the matrix packs, so no entry is unpacked."""
+    packed = a._packed
+    if packed is None:
+        det, adj = a.det_adjugate
+        return det.valuation(), [[e.valuation() for e in row] for row in adj.rows]
+    det, adj, _, low, width = packed
+    shift = (a.nrows - 1) * low
+    return _int_valuation(det, width, shift + low), [
+        [_int_valuation(e, width, shift) for e in row] for row in adj
+    ]

@@ -33,9 +33,10 @@ from parastab import (
     LaurentMatrix,
     h_matrix,
     hecke_conjugation_check,
+    local_matrix,
 )
 from parastab.cli import main
-from parastab.local_matrix import _PACK_LIMIT_BITS, L_ZERO, _packing
+from parastab.local_matrix import _PACK_LIMIT_BITS, L_ZERO, _det_adjugate_valuations, _packing
 
 WIDE = st.builds(
     lambda sign, num, den: Fraction(sign * num, den),
@@ -119,6 +120,11 @@ WIDE_SPAN = LaurentMatrix.build(
 )
 
 
+def wide_series(e: int) -> LaurentMatrix:
+    """Determinant z - 2, not a monomial, with offenders down to 1 - 2e."""
+    return LaurentMatrix.build([[1, Laurent.z(-e)], [Laurent.z(e, 3), Laurent({0: 1, 1: 1})]])
+
+
 def outcome(check, *args):
     try:
         return check(*args)
@@ -150,6 +156,35 @@ def test_det_and_adjugate_need_a_square_matrix():
     for call in (m.det, m.adjugate):
         with pytest.raises(DomainError):
             call()
+
+
+@settings(max_examples=80)
+@given(matrices(6))
+@example(LaurentMatrix.build([[L_ZERO]]))
+@example(LaurentMatrix.build([[0, 0], [0, 0]]))
+@example(WIDE_SPAN)
+@example(wide_series(10**6))
+def test_packed_valuations_match_the_unpacked_entries(m):
+    """val(det) and the adjugate's valuations, read off the packed ints, are
+    those of the unpacked entries (the Laurent entries' own where the matrix
+    is too wide to pack)."""
+    det, adj = m.det_adjugate
+    expected = det.valuation(), [[e.valuation() for e in row] for row in adj.rows]
+    assert _det_adjugate_valuations(m) == expected
+
+
+@pytest.mark.parametrize(
+    "a", [h_matrix(3), H5_SCALED, SERIES5, SERIES6], ids=["h3", "h5-scaled", "series5", "series6"]
+)
+def test_hecke_check_unpacks_nothing(a, monkeypatch):
+    """On the packed path the check reads valuations off the ints: no entry is unpacked."""
+    unpacked = []
+    monkeypatch.setattr(local_matrix, "_unpack", lambda *args: unpacked.append(args))
+    fresh = LaurentMatrix(a.rows)
+    assert fresh._packed is not None
+    hecke_conjugation_check(fresh)
+    assert unpacked == []
+    assert "det_adjugate" not in vars(fresh)
 
 
 # The loop oracle inverts a non-monomial determinant as a truncated series,
@@ -200,11 +235,6 @@ def test_hecke_oracle_inputs_reach_every_outcome():
 
     collect()
     assert seen == {"monomial", "series", "integral", "offenders"}
-
-
-def wide_series(e: int) -> LaurentMatrix:
-    """Determinant z - 2, not a monomial, with offenders down to 1 - 2e."""
-    return LaurentMatrix.build([[1, Laurent.z(-e)], [Laurent.z(e, 3), Laurent({0: 1, 1: 1})]])
 
 
 def wide_series_offenders(e: int) -> tuple:

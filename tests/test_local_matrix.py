@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parastab import (
     DomainError,
@@ -80,6 +82,56 @@ def test_laurent_basics():
     assert p.shift(-2) == Laurent.z(-2, 3) + Laurent.const(F(1, 2))
     assert truncated(p, 2) == Laurent.const(3)
     assert p.scale(2) == Laurent.const(6) + Laurent.z(2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Laurent({0.5: 1}),
+        lambda: Laurent({"1": 1}),
+        lambda: Laurent({0: 0.1}),
+        lambda: Laurent({0: "1/2"}),
+        lambda: Laurent.const(0.5),
+        lambda: Laurent.z(0.5),
+        lambda: Laurent.z(1, 0.25),
+        lambda: Laurent.z().scale(0.5),
+        lambda: LaurentMatrix.build([[1, 0.5]]),
+    ],
+)
+def test_laurent_refuses_inexact_input(build):
+    """A float would be stored as its binary value, and a float exponent truncated."""
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_laurent_takes_int_coefficients_as_fractions():
+    value = Laurent({0: 1, 1: 2, 2: 0, -1: F(0)})
+    assert value.coeffs == {0: 1, 1: 2}
+    assert all(type(c) is Fraction for c in value.coeffs.values())
+    assert type(Laurent.const(3).coeff(0)) is Fraction
+
+
+RATIONALS = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+LAURENTS = st.dictionaries(st.integers(-3, 3), RATIONALS, max_size=4).map(Laurent)
+
+
+def is_clean(value: Laurent) -> bool:
+    return all(type(e) is int and type(c) is Fraction and c for e, c in value.coeffs.items())
+
+
+@settings(max_examples=200)
+@given(LAURENTS, LAURENTS, st.integers(-4, 4), RATIONALS)
+def test_arithmetic_keeps_the_constructor_invariant(a, b, k, q):
+    """Results built without the checked constructor equal its rebuild of their map,
+    with int keys and nonzero Fraction values, also where terms cancel."""
+    results = [a.shift(k), -a, a * b, a + b, a - b, a - a, a + -a, a.scale(q), a * (b - b)]
+    if not b.is_zero():
+        results += [exact_divide(a * b, b), exact_divide(a, b)]
+    for value in results:
+        if value is None:  # a does not divide by b
+            continue
+        assert is_clean(value)
+        assert value == Laurent(value.coeffs)
 
 
 def test_laurent_random_ring_axioms():
