@@ -29,7 +29,6 @@ import re
 import sys
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
-from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from . import _SOURCES, _submodule
@@ -200,7 +199,8 @@ class Document:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as handle:
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 

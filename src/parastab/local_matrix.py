@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -462,64 +462,37 @@ def inverse_exact(m: LaurentMatrix) -> LaurentMatrix:
 
 
 # ---------------------------------------------------------------------------
-# index bookkeeping
-
-
-def tau(n: int, i: int, j: int) -> int:
-    """Row-major position of the index pair (i, j), all zero based."""
-    return i * n + j
-
-
-def tau_inv(n: int, p: int) -> tuple[int, int]:
-    return divmod(p, n)
-
-
-def sigma_pair(n: int, p: int, q: int) -> tuple[int, int]:
-    """The reshuffling bijection on position pairs.
-
-    Sends (tau(i,k), tau(j,l)) to (tau(i,j), tau(l,k)): it regroups a tensor
-    square so that pure conjugation tensors become genuine rank-1 matrices.
-    """
-    i, k = tau_inv(n, p)
-    j, l = tau_inv(n, q)
-    return tau(n, i, j), tau(n, l, k)
+# index bookkeeping: the index pair (i, j), zero based, sits at i * n + j
 
 
 def xi_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent pattern: entry (tau(i,j), tau(k,l)) equals -[j<i] + [l<k]."""
+    """Exponent pattern: entry (i*n + j, k*n + l) equals -[j<i] + [l<k]."""
     if n < 1:
         raise DomainError("n must be positive")
-    size = n * n
-    out = []
-    for p in range(size):
-        i, j = tau_inv(n, p)
-        row = []
-        for q in range(size):
-            k, l = tau_inv(n, q)
-            row.append(-(1 if j < i else 0) + (1 if l < k else 0))
-        out.append(tuple(row))
-    return tuple(out)
+    below = [int(j < i) for i, j in product(range(n), repeat=2)]
+    return tuple(tuple(bq - bp for bq in below) for bp in below)
 
 
 def sigma_reshuffle(m: LaurentMatrix) -> LaurentMatrix:
-    """Apply the position bijection entrywise."""
+    """The reshuffle: entry (i*n + k, j*n + l) moves to (i*n + j, l*n + k).
+
+    It regroups a tensor square so that pure conjugation tensors become
+    genuine rank-1 matrices.
+    """
     size = m.nrows
-    n = _isqrt_exact(size)
-    if m.ncols != size:
-        raise DomainError("expected a square n^2 x n^2 matrix")
-    out = [[L_ZERO] * size for _ in range(size)]
-    for p in range(size):
-        for q in range(size):
-            pp, qq = sigma_pair(n, p, q)
-            out[pp][qq] = m.rows[p][q]
-    return LaurentMatrix(tuple(tuple(row) for row in out))
-
-
-def _isqrt_exact(size: int) -> int:
-    n = int(round(size ** 0.5))
+    n = isqrt(size)
     if n * n != size:
         raise DomainError(f"{size} is not a perfect square")
-    return n
+    if m.ncols != size:
+        raise DomainError("expected a square n^2 x n^2 matrix")
+    rows = m.rows
+    return LaurentMatrix(
+        tuple(
+            tuple(rows[i * n + k][j * n + l] for l in range(n) for k in range(n))
+            for i in range(n)
+            for j in range(n)
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -536,64 +509,43 @@ def rank1_factor(
     factorization is unique up to a unit.
     """
     m = LaurentMatrix.build(entries)
-    pivot_row = None
-    for i, row in enumerate(m.rows):
-        if any(not v.is_zero() for v in row):
-            pivot_row = i
-            break
-    if pivot_row is None:
-        return (
-            tuple(L_ZERO for _ in range(m.nrows)),
-            tuple(L_ZERO for _ in range(m.ncols)),
-        )
-    content = laurent_gcd(m.rows[pivot_row])
-    base = []
-    for v in m.rows[pivot_row]:
-        quot = exact_divide(v, content) if not v.is_zero() else L_ZERO
-        if quot is None:
-            return None
-        base.append(quot)
-    pivot_col = next(j for j, v in enumerate(base) if not v.is_zero())
+    pivot = next((row for row in m.rows if any(v.coeffs for v in row)), None)
+    if pivot is None:
+        return (L_ZERO,) * m.nrows, (L_ZERO,) * m.ncols
+    # the content divides every entry of its own row, so each quotient exists
+    content = laurent_gcd(pivot)
+    base = tuple(exact_divide(v, content) for v in pivot)
+    pivot_col = next(j for j, v in enumerate(base) if v.coeffs)
     col = []
-    for i in range(m.nrows):
-        quot = exact_divide(m.rows[i][pivot_col], base[pivot_col])
+    for row in m.rows:
+        quot = exact_divide(row[pivot_col], base[pivot_col])
         if quot is None:
             return None
         col.append(quot)
-    for i in range(m.nrows):
-        for j in range(m.ncols):
-            if col[i] * base[j] != m.rows[i][j]:
-                return None
-    return tuple(col), tuple(base)
+    if any(c * r != v for c, row in zip(col, m.rows) for r, v in zip(base, row)):
+        return None
+    return tuple(col), base
 
 
 def is_pure_tensor(
     m: LaurentMatrix,
 ) -> Optional[tuple[LaurentMatrix, LaurentMatrix]]:
-    """Recognize M as (A tensor B^t) under the position bijection."""
-    size = m.nrows
-    n = _isqrt_exact(size)
-    shuffled = sigma_reshuffle(m)
-    factored = rank1_factor(shuffled.rows)
+    """Recognize M as (A tensor B^t) under the reshuffle."""
+    factored = rank1_factor(sigma_reshuffle(m).rows)
     if factored is None:
         return None
-    col, row = factored
-    a = LaurentMatrix(
-        tuple(tuple(col[tau(n, i, j)] for j in range(n)) for i in range(n))
+    n = isqrt(m.nrows)
+    # entry i*n + j of each factor vector is entry (i, j) of its matrix
+    return tuple(
+        LaurentMatrix(tuple(vec[p:p + n] for p in range(0, n * n, n))) for vec in factored
     )
-    b = LaurentMatrix(
-        tuple(tuple(row[tau(n, c, d)] for d in range(n)) for c in range(n))
-    )
-    return a, b
 
 
 def inner_factor(pair: tuple[LaurentMatrix, LaurentMatrix]) -> Optional[LaurentMatrix]:
     """A when the factors (A, B) of ``is_pure_tensor`` are inverse, so M is conjugation by A."""
     a, b = pair
-    ident = LaurentMatrix.identity(a.nrows)
-    if a @ b != ident or b @ a != ident:
-        return None
-    return a
+    # over the commutative ring Q[z, 1/z], AB = I gives det A det B = 1, so B = A^-1
+    return a if a @ b == LaurentMatrix.identity(a.nrows) else None
 
 
 def is_inner(m: LaurentMatrix) -> Optional[LaurentMatrix]:
@@ -706,13 +658,19 @@ def hecke_conjugation_check(a: LaurentMatrix) -> HeckeReport:
     v, val_adj = _det_adjugate_valuations(a)
     if v is None:
         raise DomainError("matrix is singular")
-    val_a = [[e.valuation() for e in row] for row in a.rows]
-    val_inv = [[None if e is None else e - v for e in row] for row in val_adj]
+    # (c, val a[x][c]) over the nonzero entries of each row x of a, and
+    # (d, val inv[d][y]) over those of each column y of the inverse
+    rows_a = [[(c, e.valuation()) for c, e in enumerate(row) if e.coeffs] for row in a.rows]
+    cols_inv = [
+        [(d, e - v) for d, e in enumerate(col) if e is not None] for col in zip(*val_adj)
+    ]
     offenders = tuple(
-        (tau(n, x, y), tau(n, c, d), e)
-        for x, y, c, d in product(range(n), repeat=4)
-        if val_a[x][c] is not None and val_inv[d][y] is not None
-        and (e := val_a[x][c] + val_inv[d][y] + (d < c) - (y < x)) < 0
+        (x * n + y, c * n + d, e)
+        for x, row in enumerate(rows_a)
+        for y, col in enumerate(cols_inv)
+        for c, ea in row
+        for d, ei in col
+        if (e := ea + ei + (d < c) - (y < x)) < 0
     )
     return HeckeReport(n, is_parabolic(a), v, v % n, not offenders, offenders)
 

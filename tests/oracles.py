@@ -33,7 +33,7 @@ from parastab import (
     reduce_dual_rank2,
     twist,
 )
-from parastab.local_matrix import L_ONE, L_ZERO, _dot, tau
+from parastab.local_matrix import L_ONE, L_ZERO, _dot
 from parastab.weights_core import first_on_wall, pattern_at, picked_sums, wall_grid
 
 
@@ -45,6 +45,17 @@ def _certify(bound: int) -> None:
     """A value known below ``bound`` has certified negative part only if bound > 0."""
     if bound <= 0:
         raise PrecisionError(f"cannot certify exponents in [{bound}, 0); raise the precision")
+
+
+def tau(n: int, i: int, j: int) -> int:
+    """Row-major position of the index pair (i, j), all zero based."""
+    return i * n + j
+
+
+def is_inverse_pair(a: LaurentMatrix, b: LaurentMatrix) -> bool:
+    """AB = I and BA = I, both products taken."""
+    ident = LaurentMatrix.identity(a.nrows)
+    return a @ b == ident and b @ a == ident
 
 
 def det(m: LaurentMatrix) -> Laurent:

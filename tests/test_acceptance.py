@@ -50,6 +50,7 @@ from parastab import (
     xi_matrix,
 )
 from parastab._claims import FIXTURE_CLAIMS
+from parastab.local_matrix import L_ZERO, inner_factor
 from conftest import (
     crossed_walls,
     rand_concentrated_weights,
@@ -57,7 +58,7 @@ from conftest import (
     rand_transform,
     rand_weights,
 )
-from oracles import admissible_types, mp_matrix
+from oracles import admissible_types, is_inverse_pair, mp_matrix
 
 F = Fraction
 
@@ -392,6 +393,44 @@ def test_outer_product_recognition_500_instances():
             continue
         assert rank1_factor(m) is None
         rejections += 1
+
+
+def _rand_unimodular(rng: random.Random, n: int) -> LaurentMatrix:
+    """Unit lower times upper triangular with nonzero monomials on the diagonal: invertible."""
+    lower = [[_rand_laurent(rng, 0, 2) if i > j else Laurent.const(int(i == j))
+              for j in range(n)] for i in range(n)]
+    upper = [[_rand_laurent(rng, 0, 2) if i < j else L_ZERO for j in range(n)]
+             for i in range(n)]
+    for i in range(n):
+        upper[i][i] = Laurent.z(rng.randrange(-2, 3), F(rng.choice((-3, -1, 1, 2)), 2))
+    return LaurentMatrix.build(lower) @ LaurentMatrix.build(upper)
+
+
+def test_inner_factor_one_sided_check_matches_two_sided():
+    rng = random.Random(808)
+    outcomes = []
+    for _ in range(200):
+        n = rng.choice((2, 3))
+        a = _rand_unimodular(rng, n)
+        inv = inverse_exact(a)
+        kind = rng.randrange(4)
+        if kind == 0:
+            b = inv
+        elif kind == 1:
+            b = LaurentMatrix.build([[_rand_laurent(rng, 0, 2) for _ in range(n)] for _ in range(n)])
+        elif kind == 2:
+            # one entry of the inverse moved by a random nonzero Laurent polynomial
+            rows = [list(row) for row in inv.rows]
+            i, j = rng.randrange(n), rng.randrange(n)
+            step = _rand_laurent(rng, -1, 1)
+            rows[i][j] = rows[i][j] + (Laurent.const(1) if step.is_zero() else step)
+            b = LaurentMatrix.build(rows)
+        else:
+            b = inverse_exact(_rand_unimodular(rng, n))
+        two_sided = is_inverse_pair(a, b)
+        assert inner_factor((a, b)) is (a if two_sided else None)
+        outcomes.append(two_sided)
+    assert 30 <= sum(outcomes) <= 170
 
 
 def test_conjugation_integrality_on_200_matrices():

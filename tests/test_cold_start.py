@@ -9,16 +9,20 @@ any layer is used loads none.  None loads ``dataclasses`` or ``inspect``,
 which would cost several milliseconds per launch; the records stand on
 ``parastab.errors.Record``.  An in-process run cannot see this, since an
 earlier command may already have loaded a layer that a later one reaches.
+Importing ``parastab.cli`` loads no ``pathlib`` either: files are read with
+``open``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import parastab
 from parastab.cli import _COMMANDS
 
 # run main on the arguments, then print the parastab modules loaded on a second line
@@ -109,3 +113,12 @@ def test_refused_input_loads_no_layer():
     assert payload["error"]["kind"] == "input"
     assert payload["error"]["message"].startswith("invalid JSON: ")
     assert loaded == BASE
+
+
+def test_cli_import_loads_no_pathlib():
+    # -S keeps site, which loads pathlib itself, out of the child; the
+    # package's own directory goes on the path by hand
+    root = os.path.dirname(os.path.dirname(parastab.__file__))
+    child = f"import sys; sys.path.insert(0, {root!r}); import parastab.cli; print('pathlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", child], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

@@ -1,4 +1,4 @@
-"""Byte identity of ``aut``, ``iso`` and the matrix commands on fixed inputs.
+"""Byte identity of ``aut``, ``iso``, the matrix commands and ``fixtures`` on fixed inputs.
 
 Each case runs through ``main()`` in-process; the sha256 of its exit code and
 output line was recorded before ``automorphism_group`` and ``iso_transforms``
@@ -15,7 +15,8 @@ point counts became an input error like documents of different ranks, and
 ``iso/match``, ``iso/match-back`` and ``iso/perms`` when documents that
 give different genera did (their pairs are genus 3 against genus 2).  The
 ``*-same-genus`` cases give the image genus 3 and keep the hashes those
-three had before.
+three had before.  The ``fixtures`` case pins the claims table's output,
+whose line alone has sha256 ``afbb0078...5af2``.
 
 The help text of ``parastab -h`` and of every ``parastab <command> -h`` is
 pinned the same way, at 80 columns, as CPython 3.11's argparse lays it out,
@@ -102,6 +103,7 @@ CASES = {
     "xi/1": (["matrix-xi", "--n", "1"], None),
     "xi/2": (["matrix-xi", "--n", "2"], None),
     "xi/3": (["matrix-xi", "--n", "3"], None),
+    "fixtures": (["fixtures"], None),
 }
 
 HASHES = {
@@ -137,6 +139,7 @@ HASHES = {
     "xi/1": "ef71f91a388e95f1e6c97fa22123bdf77352d33c6049f7db52182f5a478459e4",
     "xi/2": "8f4f99b3c7a3b4e14fa66918374765936763dd0c08d1f2dd390871ac52663a59",
     "xi/3": "0072c7a4d3c1ef60bba47bc30bf58db9e697f9d33daed6fc986b637a15163d7f",
+    "fixtures": "d8d1d30ba8d4f97bfe28e8ab02912f37e63537d68baa5b8032f67957d90c5e5b",
 }
 
 

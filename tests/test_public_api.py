@@ -83,8 +83,9 @@ RETIRED = {
     "errors": ("PrecisionError",),
     "weights_core": ("wall_levels", "wall_values"),
     "local_matrix": (
-        "IndexMaps", "TruncLaurent", "_certify", "index_maps", "inner_trace_conditions",
-        "inverse_series", "series_inverse",
+        "IndexMaps", "TruncLaurent", "_certify", "_isqrt_exact", "index_maps",
+        "inner_trace_conditions", "inverse_series", "series_inverse", "sigma_pair", "tau",
+        "tau_inv",
     ),
     "transform_group": ("is_dual_free",),
     "Laurent": ("as_fraction", "is_constant", "truncated"),
