@@ -11,10 +11,10 @@ Hecke check reports every offending entry with its exact valuation.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partialmethod
 from itertools import product
 from math import isqrt, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Optional, Sequence, Union
 
 from .errors import DomainError, Record
@@ -52,12 +52,6 @@ class Laurent:
     @staticmethod
     def z(exp: int = 1, coeff: Rational = 1) -> "Laurent":
         return Laurent({exp: coeff})
-
-    @staticmethod
-    def lift(value: Union["Laurent", Rational]) -> "Laurent":
-        if isinstance(value, Laurent):
-            return value
-        return Laurent.const(value)
 
     # -- structure ----------------------------------------------------
     def is_zero(self) -> bool:
@@ -139,9 +133,7 @@ L_ONE = Laurent.const(1)
 
 
 def _poly_divmod(num: Laurent, den: Laurent) -> tuple[Laurent, Laurent]:
-    """Long division of polynomials (nonnegative exponents only)."""
-    if den.is_zero():
-        raise DomainError("division by zero")
+    """Long division of polynomials (nonnegative exponents only); ``den`` is nonzero."""
     rem = dict(num.coeffs)
     quo: dict[int, Fraction] = {}
     ddeg = den.degree()
@@ -175,16 +167,6 @@ def exact_divide(num: Laurent, den: Laurent) -> Optional[Laurent]:
     return quo.shift(vn - vd)
 
 
-def _poly_gcd(a: Laurent, b: Laurent) -> Laurent:
-    """Monic gcd of two polynomials (nonnegative exponents)."""
-    while not b.is_zero():
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return L_ZERO
-    return a.scale(1 / a.coeff(a.degree()))
-
-
 def laurent_gcd(values: Sequence[Laurent]) -> Laurent:
     """Content of a list: z^(min valuation) times the monic polynomial gcd."""
     nonzero = [v for v in values if not v.is_zero()]
@@ -193,8 +175,11 @@ def laurent_gcd(values: Sequence[Laurent]) -> Laurent:
     vmin = min(v.valuation() for v in nonzero)
     acc = L_ZERO
     for v in nonzero:
-        # the gcd with zero is the entry made monic
-        acc = _poly_gcd(acc, v.shift(-v.valuation()))
+        # Euclid on (acc, entry) ends on a nonzero polynomial, since the entry is nonzero
+        a, b = acc, v.shift(-v.valuation())
+        while b.coeffs:
+            a, b = b, _poly_divmod(a, b)[1]
+        acc = a.scale(1 / a.coeff(a.degree()))
         if acc == L_ONE:
             break
     return acc.shift(vmin)
@@ -215,17 +200,15 @@ class LaurentMatrix(Record):
     @staticmethod
     def build(entries: Sequence[Sequence[Union[Laurent, Rational]]]) -> "LaurentMatrix":
         return LaurentMatrix(
-            tuple(tuple(Laurent.lift(v) for v in row) for row in entries)
+            tuple(
+                tuple(v if isinstance(v, Laurent) else Laurent.const(v) for v in row)
+                for row in entries
+            )
         )
 
     @staticmethod
     def identity(n: int) -> "LaurentMatrix":
-        return LaurentMatrix(
-            tuple(
-                tuple(L_ONE if i == j else L_ZERO for j in range(n))
-                for i in range(n)
-            )
-        )
+        return LaurentMatrix.build([[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def nrows(self) -> int:
@@ -238,27 +221,15 @@ class LaurentMatrix(Record):
     def transpose(self) -> "LaurentMatrix":
         return LaurentMatrix(tuple(zip(*self.rows)))
 
-    def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        self._match(other)
-        return LaurentMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
-
-    def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        self._match(other)
-        return LaurentMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
-
-    def _match(self, other: "LaurentMatrix") -> None:
+    def _entrywise(self, op, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DomainError("matrix shape mismatch")
+        return LaurentMatrix(
+            tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.rows, other.rows))
+        )
+
+    __add__ = partialmethod(_entrywise, add)
+    __sub__ = partialmethod(_entrywise, sub)
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.ncols != other.nrows:
@@ -595,11 +566,8 @@ def _shift_matrix(n: int, corner: Laurent) -> LaurentMatrix:
     """The cyclic shift (ones just above the diagonal) with ``corner`` at bottom left."""
     if n < 1:
         raise DomainError("n must be positive")
-    rows = [[L_ZERO] * n for _ in range(n)]
-    for i in range(n - 1):
-        rows[i][i + 1] = L_ONE
-    rows[n - 1][0] = corner
-    return LaurentMatrix(tuple(tuple(row) for row in rows))
+    rows = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
+    return LaurentMatrix.build([*rows, [corner] + [0] * (n - 1)])
 
 
 def h_matrix(n: int) -> LaurentMatrix:
@@ -614,14 +582,10 @@ def cyclic_matrix(n: int) -> LaurentMatrix:
 
 def is_parabolic(m: LaurentMatrix) -> bool:
     """Integral entries with positive valuation strictly below the diagonal."""
-    for i, row in enumerate(m.rows):
-        for j, v in enumerate(row):
-            if v.is_zero():
-                continue
-            need = 1 if i > j else 0
-            if v.valuation() < need:
-                return False
-    return True
+    return all(
+        v.valuation() >= (i > j)
+        for i, row in enumerate(m.rows) for j, v in enumerate(row) if v.coeffs
+    )
 
 
 class HeckeReport(Record):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import os
 import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from hypothesis import HealthCheck, settings
 from oracles import Wall
 from parastab import LaurentMatrix, NumTransform, WeightSystem, is_generic, weight_system
 from parastab.chamber import wall_crossings
+from parastab.cli import main
 from parastab.weights_core import wall_grid
 
 settings.register_profile(
@@ -81,6 +85,19 @@ def rand_transform(rng: random.Random, r: int, n: int) -> NumTransform:
         rng.randrange(-4, 5),
         tuple(rng.randrange(r) for _ in range(n)),
     )
+
+
+def run_main(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
+    """``main(argv)`` in-process on the text ``stdin``: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
 
 
 def matrix_power(m: LaurentMatrix, k: int) -> LaurentMatrix:

@@ -24,7 +24,6 @@ from parastab import (
     ParabolicType,
     WeightSystem,
     apply_to_degree,
-    is_parabolic,
     level_denominator,
     max_subdegree,
     normalize,
@@ -56,6 +55,18 @@ def is_inverse_pair(a: LaurentMatrix, b: LaurentMatrix) -> bool:
     """AB = I and BA = I, both products taken."""
     ident = LaurentMatrix.identity(a.nrows)
     return a @ b == ident and b @ a == ident
+
+
+def is_parabolic(m: LaurentMatrix) -> bool:
+    """Entry by entry: each nonzero entry's valuation against its bound."""
+    for i, row in enumerate(m.rows):
+        for j, v in enumerate(row):
+            if v.is_zero():
+                continue
+            need = 1 if i > j else 0
+            if v.valuation() < need:
+                return False
+    return True
 
 
 def det(m: LaurentMatrix) -> Laurent:

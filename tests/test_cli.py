@@ -1,14 +1,13 @@
 """End-to-end checks of the command line interface via subprocess."""
 
-import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+from conftest import run_main
 from parastab import cli
 
 RANK2_DOC = {
@@ -46,14 +45,8 @@ def run_json(*args: str, stdin: str | None = None) -> tuple[int, dict]:
 
 def main_json(argv: list[str], stdin) -> tuple[int, dict]:
     """``main(argv + ["--json"])`` in-process on the JSON of ``stdin``."""
-    out, saved = io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(json.dumps(stdin))
-    try:
-        with redirect_stdout(out):
-            code = cli.main([*argv, "--json"])
-    finally:
-        sys.stdin = saved
-    return code, json.loads(out.getvalue())
+    code, out, _ = run_main([*argv, "--json"], json.dumps(stdin))
+    return code, json.loads(out)
 
 
 def write_doc(tmp_path, name: str, obj: dict) -> str:

@@ -11,18 +11,17 @@ result too long to print is a domain error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_main
 from parastab.autgroup import concentrated_orders
-from parastab.cli import build_parser, main
+from parastab.cli import build_parser
 
 LIMIT = sys.get_int_max_str_digits()
 LONG = "7" * (LIMIT + 1)  # digits beyond the int-string limit
@@ -69,18 +68,6 @@ DOCUMENTS = (
     | st.fixed_dictionaries({"a": MATRICES, "b": MATRICES})
     | st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries({"a": square(n), "b": square(n)}))
 )
-
-
-def run_main(argv: list[str], stdin: str) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=400)

@@ -28,11 +28,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import sys
 from contextlib import redirect_stdout
 
 import pytest
 
+from conftest import run_main
 from parastab.cli import main
 
 
@@ -144,16 +144,9 @@ HASHES = {
 
 
 def run(argv: list[str], stdin) -> tuple[int, str]:
-    out, saved = io.StringIO(), sys.stdin
-    if stdin is not None:
-        argv = [*argv, "--json"]
-        sys.stdin = io.StringIO(json.dumps(stdin))
-    try:
-        with redirect_stdout(out):
-            code = main(argv)
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue()
+    if stdin is None:
+        return run_main(argv)[:2]
+    return run_main([*argv, "--json"], json.dumps(stdin))[:2]
 
 
 def output_hash(case: str) -> str:

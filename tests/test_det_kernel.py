@@ -1,7 +1,8 @@
 """Packed det/adjugate and the valuation Hecke check against the old paths.
 
 The oracles are the Fraction Berkowitz kernel, the Leibniz determinant, the
-cofactor adjugate and the entry-by-entry Hecke check over truncated series.
+cofactor adjugate, the entry-by-entry Hecke check over truncated series and
+the entry-by-entry parabolic predicate.
 Matrices mix negative exponents, zero entries, zero rows and rows that are
 Laurent multiples of row 0.  The det/adjugate test draws mostly singular and
 rank-deficient matrices (adjugate zero below rank n - 1); the Hecke tests
@@ -33,6 +34,7 @@ from parastab import (
     LaurentMatrix,
     h_matrix,
     hecke_conjugation_check,
+    is_parabolic,
     local_matrix,
 )
 from parastab.cli import main
@@ -235,6 +237,43 @@ def test_hecke_oracle_inputs_reach_every_outcome():
 
     collect()
     assert seen == {"monomial", "series", "integral", "offenders"}
+
+
+@st.composite
+def shifted_lower_units(draw, max_size: int):
+    """Lower unitriangular matrices of size 1..max_size whose entries below
+    the diagonal are polynomials times z^s for s in {0, 1}, so the strict
+    bound below the diagonal is met and missed."""
+    n = draw(st.integers(1, max_size))
+    below = {
+        (i, j): draw(laurents(0, 1)).shift(draw(st.integers(0, 1)))
+        for i in range(n)
+        for j in range(i)
+    }
+    return unitriangular(n, below)
+
+
+PARABOLIC_INPUTS = st.one_of(matrices(5), shifted_lower_units(5))
+
+
+@settings(max_examples=150)
+@given(PARABOLIC_INPUTS)
+@example(h_matrix(4))
+@example(LaurentMatrix.build([[1, 0], [1, 1]]))
+def test_is_parabolic_matches_loop_oracle(m):
+    assert is_parabolic(m) == oracles.is_parabolic(m)
+
+
+def test_parabolic_inputs_reach_both_outcomes():
+    seen = set()
+
+    @settings(max_examples=150)
+    @given(PARABOLIC_INPUTS)
+    def collect(m):
+        seen.add(is_parabolic(m))
+
+    collect()
+    assert seen == {True, False}
 
 
 def wide_series_offenders(e: int) -> tuple:

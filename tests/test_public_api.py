@@ -73,9 +73,10 @@ def test_import_loads_no_submodule_and_every_name_resolves_lazily():
 
 
 # Older duplicates of the fingerprint, wall-list and Hecke-check paths, the
-# precision emulation of the exact Hecke check, and methods and helpers no
-# library code called, by the submodule or class that defined them; the slow
-# ones and the series precision live on in tests/oracles.py.
+# precision emulation of the exact Hecke check, methods and helpers no
+# library code called, and helpers folded into their only caller, by the
+# submodule or class that defined them; the slow ones and the series
+# precision live on in tests/oracles.py.
 RETIRED = {
     "chamber": (
         "ChamberInvariant", "Wall", "admissible_types", "chamber_invariant", "walls_crossed",
@@ -83,13 +84,13 @@ RETIRED = {
     "errors": ("PrecisionError",),
     "weights_core": ("wall_levels", "wall_values"),
     "local_matrix": (
-        "IndexMaps", "TruncLaurent", "_certify", "_isqrt_exact", "index_maps",
+        "IndexMaps", "TruncLaurent", "_certify", "_isqrt_exact", "_poly_gcd", "index_maps",
         "inner_trace_conditions", "inverse_series", "series_inverse", "sigma_pair", "tau",
         "tau_inv",
     ),
     "transform_group": ("is_dual_free",),
-    "Laurent": ("as_fraction", "is_constant", "truncated"),
-    "LaurentMatrix": ("power",),
+    "Laurent": ("as_fraction", "is_constant", "lift", "truncated"),
+    "LaurentMatrix": ("_match", "power"),
     "ParabolicType": ("all_ones", "all_zero", "reversed_rows"),
     "WeightSystem": ("point_index",),
 }

@@ -14,15 +14,13 @@ or an error message shows here.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
-import sys
-from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from conftest import run_main
 from parastab import (
     admissible_rows,
     chamber_fingerprint,
@@ -30,7 +28,6 @@ from parastab import (
     subdegree_bounds,
     weight_system,
 )
-from parastab.cli import main
 from oracles import admissible_types
 
 
@@ -187,14 +184,7 @@ HASHES = {
 
 
 def run(argv: list[str], stdin: dict) -> tuple[int, str]:
-    out, saved = io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(json.dumps(stdin))
-    try:
-        with redirect_stdout(out):
-            code = main([*argv, "--json"])
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue()
+    return run_main([*argv, "--json"], json.dumps(stdin))[:2]
 
 
 def output_hash(case: str, command: str) -> str:
